@@ -102,9 +102,14 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Copy a slice into a fresh buffer.
+    /// Copy a slice into a fresh buffer (one copy, straight into the
+    /// shared allocation).
     pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes::from(src.to_vec())
+        Bytes {
+            data: Arc::from(src),
+            start: 0,
+            end: src.len(),
+        }
     }
 
     /// Length of the visible window.
@@ -209,19 +214,19 @@ impl From<Vec<u8>> for Bytes {
 
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 }
 
 impl<const N: usize> From<&[u8; N]> for Bytes {
     fn from(s: &[u8; N]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 }
 
 impl From<&str> for Bytes {
     fn from(s: &str) -> Self {
-        Bytes::from(s.as_bytes().to_vec())
+        Bytes::copy_from_slice(s.as_bytes())
     }
 }
 
@@ -336,21 +341,6 @@ impl BytesMut {
         self.inner.extend_from_slice(src);
     }
 
-    /// Remove and return the first `at` bytes; `self` keeps the rest.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        let tail = self.inner.split_off(at);
-        BytesMut {
-            inner: std::mem::replace(&mut self.inner, tail),
-        }
-    }
-
-    /// Remove and return everything from `at`; `self` keeps the front.
-    pub fn split_off(&mut self, at: usize) -> BytesMut {
-        BytesMut {
-            inner: self.inner.split_off(at),
-        }
-    }
-
     /// Drop all contents.
     pub fn clear(&mut self) {
         self.inner.clear();
@@ -359,6 +349,23 @@ impl BytesMut {
     /// Convert into an immutable, cheaply cloneable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.inner)
+    }
+}
+
+impl Buf for BytesMut {
+    fn remaining(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        &self.inner
+    }
+
+    /// Drop the first `cnt` bytes; the rest moves to the front and the
+    /// allocation is kept for what arrives next.
+    fn advance(&mut self, cnt: usize) {
+        assert!(cnt <= self.inner.len(), "advance past end");
+        self.inner.drain(..cnt);
     }
 }
 
@@ -450,13 +457,17 @@ mod tests {
         let head = b.split_to(2);
         assert_eq!(head.as_slice(), b"cd");
         assert_eq!(b.as_slice(), b"ef");
+    }
 
-        let mut m = BytesMut::from(&b"abcdef"[..]);
-        let head = m.split_to(2);
-        assert_eq!(&head[..], b"ab");
-        let tail = m.split_off(2);
-        assert_eq!(&m[..], b"cd");
-        assert_eq!(&tail[..], b"ef");
+    #[test]
+    fn bytes_mut_advance_keeps_the_rest_and_the_allocation() {
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(b"consumed|rest");
+        let cap = m.inner.capacity();
+        m.advance(9);
+        assert_eq!(&m[..], b"rest");
+        assert_eq!(m.remaining(), 4);
+        assert_eq!(m.inner.capacity(), cap);
     }
 
     #[test]

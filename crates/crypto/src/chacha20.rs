@@ -1,9 +1,15 @@
 //! ChaCha20 stream cipher (RFC 8439).
 //!
 //! Used for all symmetric crypto in the reproduction: mTLS record
-//! protection, the pre-established secure channel to the key server, and
-//! the at-rest encryption of stored private keys. Implemented from the RFC
-//! and validated against its test vector.
+//! protection and the pre-established secure channel to the key server
+//! (both as the cipher half of [`crate::aead`]), and the at-rest
+//! encryption of stored private keys. Implemented from the RFC and
+//! validated against its test vectors.
+//!
+//! The keystream is scalar on purpose: the crate forbids `unsafe`, so SIMD
+//! intrinsics are out, and the baseline x86-64 target does not
+//! auto-vectorize the rotates. [`ChaCha20::apply`] XORs one `u32` word at a
+//! time; a byte-at-a-time reference kept in the tests checks it.
 
 /// ChaCha20 cipher instance bound to a key.
 #[derive(Clone)]
@@ -37,10 +43,11 @@ impl ChaCha20 {
 
     /// Derive a key from a 64-bit shared secret (the DH output) by
     /// repeating-and-mixing — a stand-in for HKDF adequate for the
-    /// simulation's purposes.
+    /// simulation's purposes. The splitmix64 finalizer is a bijection, so
+    /// distinct secrets give distinct keys.
     pub fn from_shared_secret(secret: u64) -> Self {
         let mut key = [0u8; 32];
-        let mut x = secret | 1;
+        let mut x = secret;
         for chunk in key.chunks_exact_mut(8) {
             // splitmix64 expansion
             x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -53,33 +60,24 @@ impl ChaCha20 {
         Self::new(&key)
     }
 
-    /// The ChaCha20 block function: 64 bytes of keystream for
-    /// (counter, nonce).
-    pub fn block(&self, counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
+    /// The block-function input for `nonce`, with the counter word zero.
+    pub(crate) fn initial_state(&self, nonce: &[u8; 12]) -> [u32; 16] {
         let mut state = [0u32; 16];
         state[0..4].copy_from_slice(&SIGMA);
         state[4..12].copy_from_slice(&self.key);
-        state[12] = counter;
         for (i, chunk) in nonce.chunks_exact(4).enumerate() {
             state[13 + i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        let initial = state;
-        for _ in 0..10 {
-            // column rounds
-            quarter_round(&mut state, 0, 4, 8, 12);
-            quarter_round(&mut state, 1, 5, 9, 13);
-            quarter_round(&mut state, 2, 6, 10, 14);
-            quarter_round(&mut state, 3, 7, 11, 15);
-            // diagonal rounds
-            quarter_round(&mut state, 0, 5, 10, 15);
-            quarter_round(&mut state, 1, 6, 11, 12);
-            quarter_round(&mut state, 2, 7, 8, 13);
-            quarter_round(&mut state, 3, 4, 9, 14);
-        }
+        state
+    }
+
+    /// The ChaCha20 block function: 64 bytes of keystream for
+    /// (counter, nonce).
+    pub fn block(&self, counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
+        let words = keystream(&self.initial_state(nonce), counter);
         let mut out = [0u8; 64];
-        for i in 0..16 {
-            let word = state[i].wrapping_add(initial[i]);
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+        for (o, w) in out.chunks_exact_mut(4).zip(words) {
+            o.copy_from_slice(&w.to_le_bytes());
         }
         out
     }
@@ -87,11 +85,9 @@ impl ChaCha20 {
     /// XOR `data` with the keystream starting at block `initial_counter`.
     /// Encryption and decryption are the same operation.
     pub fn apply(&self, initial_counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
+        let init = self.initial_state(nonce);
         for (block_idx, chunk) in data.chunks_mut(64).enumerate() {
-            let ks = self.block(initial_counter.wrapping_add(block_idx as u32), nonce);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
+            xor_block(&init, initial_counter.wrapping_add(block_idx as u32), chunk);
         }
     }
 
@@ -100,6 +96,47 @@ impl ChaCha20 {
         let mut out = data.to_vec();
         self.apply(counter, nonce, &mut out);
         out
+    }
+}
+
+/// The 16 keystream words of block `counter` for an
+/// [`ChaCha20::initial_state`].
+fn keystream(init: &[u32; 16], counter: u32) -> [u32; 16] {
+    let mut state = *init;
+    state[12] = counter;
+    let initial = state;
+    for _ in 0..10 {
+        // column rounds
+        quarter_round(&mut state, 0, 4, 8, 12);
+        quarter_round(&mut state, 1, 5, 9, 13);
+        quarter_round(&mut state, 2, 6, 10, 14);
+        quarter_round(&mut state, 3, 7, 11, 15);
+        // diagonal rounds
+        quarter_round(&mut state, 0, 5, 10, 15);
+        quarter_round(&mut state, 1, 6, 11, 12);
+        quarter_round(&mut state, 2, 7, 8, 13);
+        quarter_round(&mut state, 3, 4, 9, 14);
+    }
+    for (s, i) in state.iter_mut().zip(initial) {
+        *s = s.wrapping_add(i);
+    }
+    state
+}
+
+/// XOR one chunk of at most 64 bytes with keystream block `counter`, one
+/// little-endian `u32` word at a time (the tail of a short chunk byte-wise).
+pub(crate) fn xor_block(init: &[u32; 16], counter: u32, chunk: &mut [u8]) {
+    let ks = keystream(init, counter);
+    let full_words = chunk.len() / 4;
+    let mut words = chunk.chunks_exact_mut(4);
+    for (c, k) in (&mut words).zip(ks) {
+        let v = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ k;
+        c.copy_from_slice(&v.to_le_bytes());
+    }
+    if let Some(k) = ks.get(full_words) {
+        for (b, k) in words.into_remainder().iter_mut().zip(k.to_le_bytes()) {
+            *b ^= k;
+        }
     }
 }
 
@@ -170,6 +207,18 @@ mod tests {
     }
 
     #[test]
+    fn secrets_differing_only_in_the_low_bit_derive_different_keys() {
+        let nonce = [0u8; 12];
+        for s in [0u64, 2, 0xCAFE_F00D_BEEF_1234] {
+            assert_ne!(
+                ChaCha20::from_shared_secret(s).block(0, &nonce),
+                ChaCha20::from_shared_secret(s ^ 1).block(0, &nonce),
+                "secret {s:#x}"
+            );
+        }
+    }
+
+    #[test]
     fn multiblock_messages() {
         let cipher = ChaCha20::from_shared_secret(42);
         let nonce = [1u8; 12];
@@ -180,6 +229,41 @@ mod tests {
         // Wrong starting counter fails to decrypt.
         let bad = cipher.encrypt(6, &nonce, &ct);
         assert_ne!(bad, msg);
+    }
+
+    /// The byte-at-a-time `apply` the word-wise one replaced: the
+    /// reference it is checked against.
+    fn reference_apply(c: &ChaCha20, initial_counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
+        for (block_idx, chunk) in data.chunks_mut(64).enumerate() {
+            let ks = c.block(initial_counter.wrapping_add(block_idx as u32), nonce);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
+            }
+        }
+    }
+
+    #[test]
+    fn word_wise_apply_matches_byte_reference() {
+        let mut rng = canal_sim::SimRng::seed(0xC4AC_4A20);
+        for len in 0..=1100usize {
+            let cipher = ChaCha20::from_shared_secret(rng.u64());
+            let mut nonce = [0u8; 12];
+            for b in &mut nonce {
+                *b = rng.u64() as u8;
+            }
+            // Every third case starts within 20 blocks of the counter wrap.
+            let counter = if len % 3 == 0 {
+                u32::MAX - rng.index(20) as u32
+            } else {
+                rng.u64() as u32
+            };
+            let msg: Vec<u8> = (0..len).map(|_| rng.u64() as u8).collect();
+            let mut fast = msg.clone();
+            cipher.apply(counter, &nonce, &mut fast);
+            let mut slow = msg;
+            reference_apply(&cipher, counter, &nonce, &mut slow);
+            assert_eq!(fast, slow, "len {len}, counter {counter:#x}");
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! on-node proxies and gateway backends. Requests arrive over
 //! *pre-established shared channels* (one per verified requester) so no
 //! per-request TLS handshake is needed; responses carry the derived
-//! symmetric key encrypted under the channel key.
+//! symmetric key sealed under the channel key with the same
+//! ChaCha20-Poly1305 AEAD as mTLS records ([`crate::aead`]).
 //!
 //! Because the server aggregates new-session arrivals from *all* tenants,
 //! its accelerator batches are effectively always full: completion is a flat
@@ -13,6 +14,7 @@
 //! low-concurrency bubble.
 
 use crate::accel::{AccelConfig, AsymmetricBackend};
+use crate::aead::{self, TAG_LEN};
 use crate::chacha20::ChaCha20;
 use crate::dh::{DhKeyPair, DhParams, SharedSecret};
 use crate::keystore::KeyStore;
@@ -90,22 +92,13 @@ impl std::error::Error for KeyServerError {}
 pub struct RequesterId(pub u64);
 
 /// An encrypted key-server response: the derived symmetric key sealed under
-/// the requester's channel key, plus an integrity tag.
+/// the requester's channel key. The nonce is the server's response counter,
+/// which is also the additional data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedKeyResponse {
     nonce: [u8; 12],
-    ciphertext: Vec<u8>,
-    tag: u64,
-}
-
-fn tag_of(channel_secret: u64, nonce: &[u8; 12], ct: &[u8]) -> u64 {
-    // A simple keyed FNV-style tag — integrity modeling, not AEAD strength.
-    let mut h = channel_secret ^ 0xcbf2_9ce4_8422_2325;
-    for &b in nonce.iter().chain(ct.iter()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    ciphertext: [u8; 8],
+    tag: [u8; TAG_LEN],
 }
 
 /// The multi-tenant key server.
@@ -178,8 +171,8 @@ impl KeyServer {
         let mut nonce = [0u8; 12];
         nonce[..8].copy_from_slice(&self.nonce_counter.to_le_bytes());
         let channel = ChaCha20::from_shared_secret(channel_secret);
-        let ciphertext = channel.encrypt(0, &nonce, &secret.0.to_le_bytes());
-        let tag = tag_of(channel_secret, &nonce, &ciphertext);
+        let mut ciphertext = secret.0.to_le_bytes();
+        let tag = aead::seal_in_place(&channel, &nonce, &nonce[..8], &mut ciphertext);
         Ok(SealedKeyResponse {
             nonce,
             ciphertext,
@@ -204,13 +197,11 @@ impl KeyServer {
 impl SealedKeyResponse {
     /// Requester side: verify the tag and unseal the symmetric key.
     pub fn unseal(&self, channel_secret: u64) -> Result<SharedSecret, KeyServerError> {
-        if tag_of(channel_secret, &self.nonce, &self.ciphertext) != self.tag {
+        let channel = ChaCha20::from_shared_secret(channel_secret);
+        let mut key = self.ciphertext;
+        if !aead::open_in_place(&channel, &self.nonce, &self.nonce[..8], &mut key, &self.tag) {
             return Err(KeyServerError::ChannelMismatch);
         }
-        let channel = ChaCha20::from_shared_secret(channel_secret);
-        let pt = channel.encrypt(0, &self.nonce, &self.ciphertext);
-        let mut key = [0u8; 8];
-        key.copy_from_slice(&pt[..8]);
         Ok(SharedSecret(u64::from_le_bytes(key)))
     }
 }
@@ -401,6 +392,29 @@ mod tests {
             sealed2.unseal(channel ^ 1),
             Err(KeyServerError::ChannelMismatch)
         );
+    }
+
+    #[test]
+    fn any_tampered_byte_fails_to_unseal() {
+        let (mut ks, tenant, requester, channel) = server_with_tenant();
+        let client = DhKeyPair::generate(DhParams::DEFAULT, 0x00C1_1E17);
+        let sealed = ks.handle_request(requester, tenant, client.public).unwrap();
+        assert!(sealed.unseal(channel).is_ok());
+        for i in 0..TAG_LEN {
+            let mut bad = sealed.clone();
+            bad.tag[i] ^= 0x01;
+            assert_eq!(bad.unseal(channel), Err(KeyServerError::ChannelMismatch), "tag {i}");
+        }
+        for i in 0..sealed.ciphertext.len() {
+            let mut bad = sealed.clone();
+            bad.ciphertext[i] ^= 0x01;
+            assert_eq!(bad.unseal(channel), Err(KeyServerError::ChannelMismatch), "ct {i}");
+        }
+        for i in 0..sealed.nonce.len() {
+            let mut bad = sealed.clone();
+            bad.nonce[i] ^= 0x01;
+            assert_eq!(bad.unseal(channel), Err(KeyServerError::ChannelMismatch), "nonce {i}");
+        }
     }
 
     #[test]

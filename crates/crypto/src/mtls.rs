@@ -1,10 +1,16 @@
 //! The mTLS handshake state machine and record layer.
 //!
 //! A deliberately small TLS: one DH round trip establishes a shared secret,
-//! from which both sides derive a ChaCha20 session cipher. The state machine
-//! is explicit (wrong-order calls are errors, not panics), and the record
-//! layer uses per-record sequence numbers as nonces so replayed or reordered
-//! records fail to decrypt meaningfully.
+//! from which both sides derive a ChaCha20 session key. The state machine
+//! is explicit (wrong-order calls are errors, not panics).
+//!
+//! Records are sealed with the RFC 8439 ChaCha20-Poly1305 AEAD
+//! ([`crate::aead`]). The record's sequence number is both the nonce (its
+//! little-endian bytes, zero-padded to 12) and the additional data, and
+//! the 16-byte tag is compared in constant time, so a tampered, replayed
+//! or reordered record is rejected rather than decrypted. The session key
+//! still comes from the splitmix stand-in for HKDF
+//! ([`ChaCha20::from_shared_secret`]).
 //!
 //! Since the lifecycle layer ([`crate::lifecycle`]) a hello carries a full
 //! [`Cert`] — identity, tenant, serial, expiry — not a bare integer, and
@@ -19,6 +25,7 @@
 //! [`crate::accel::AsymmetricBackend`] at the call site (the mesh data
 //! path); this module is the functional half.
 
+use crate::aead::{self, TAG_LEN};
 use crate::chacha20::ChaCha20;
 use crate::dh::{DhKeyPair, DhParams, SharedSecret};
 use crate::lifecycle::{Cert, SessionTicket, TrustBundle};
@@ -83,22 +90,13 @@ pub struct HandshakeOutcome {
     pub peer_identity: u64,
 }
 
-/// A sealed record: sequence number + ciphertext + integrity tag.
+/// A sealed record: sequence number + ciphertext + AEAD tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
-    /// Sender-side sequence number (also the nonce basis).
+    /// Sender-side sequence number (the nonce and the additional data).
     pub seq: u64,
     ciphertext: Vec<u8>,
-    tag: u64,
-}
-
-fn record_tag(secret: u64, seq: u64, ct: &[u8]) -> u64 {
-    let mut h = secret ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xcbf2_9ce4_8422_2325;
-    for &b in ct {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    tag: [u8; TAG_LEN],
 }
 
 fn seq_nonce(seq: u64) -> [u8; 12] {
@@ -117,7 +115,7 @@ pub struct MtlsEndpoint {
     /// Validation view for the peer's cert; `None` skips revocation and
     /// tenant checks (expiry on the cert itself is always enforced).
     trust: Option<TrustBundle>,
-    session: Option<(ChaCha20, u64 /* raw secret for tags */)>,
+    session: Option<ChaCha20>,
     send_seq: u64,
     recv_seq: u64,
     peer_identity: Option<u64>,
@@ -230,7 +228,7 @@ impl MtlsEndpoint {
 
     fn establish(&mut self, peer: &Hello) -> HandshakeOutcome {
         let secret = self.keys.agree(peer.public);
-        self.session = Some((ChaCha20::from_shared_secret(secret.0), secret.0));
+        self.session = Some(ChaCha20::from_shared_secret(secret.0));
         self.state = MtlsState::Established;
         self.peer_identity = Some(peer.cert.identity);
         HandshakeOutcome {
@@ -285,7 +283,7 @@ impl MtlsEndpoint {
         if self.state == MtlsState::Established || self.state == MtlsState::Failed {
             return Err(MtlsError::BadState);
         }
-        self.session = Some((ChaCha20::from_shared_secret(secret.0), secret.0));
+        self.session = Some(ChaCha20::from_shared_secret(secret.0));
         self.peer_identity = Some(peer_identity);
         self.state = MtlsState::Established;
         Ok(())
@@ -316,10 +314,7 @@ impl MtlsEndpoint {
                 return Err(MtlsError::CertificateRevoked);
             }
         }
-        self.session = Some((
-            ChaCha20::from_shared_secret(ticket.secret.0),
-            ticket.secret.0,
-        ));
+        self.session = Some(ChaCha20::from_shared_secret(ticket.secret.0));
         self.peer_identity = Some(ticket.peer_identity);
         self.state = MtlsState::Established;
         self.resumed = true;
@@ -333,11 +328,12 @@ impl MtlsEndpoint {
 
     /// Seal application bytes into the next record.
     pub fn seal(&mut self, plaintext: &[u8]) -> Result<Record, MtlsError> {
-        let (cipher, raw) = self.session.as_ref().ok_or(MtlsError::BadState)?;
+        let cipher = self.session.as_ref().ok_or(MtlsError::BadState)?;
         let seq = self.send_seq;
         self.send_seq += 1;
-        let ciphertext = cipher.encrypt(0, &seq_nonce(seq), plaintext);
-        let tag = record_tag(*raw, seq, &ciphertext);
+        let mut ciphertext = plaintext.to_vec();
+        let aad = seq.to_le_bytes();
+        let tag = aead::seal_in_place(cipher, &seq_nonce(seq), &aad, &mut ciphertext);
         Ok(Record {
             seq,
             ciphertext,
@@ -347,14 +343,17 @@ impl MtlsEndpoint {
 
     /// Open the next in-order record.
     pub fn open(&mut self, record: &Record) -> Result<Vec<u8>, MtlsError> {
-        let (cipher, raw) = self.session.as_ref().ok_or(MtlsError::BadState)?;
-        if record.seq != self.recv_seq
-            || record_tag(*raw, record.seq, &record.ciphertext) != record.tag
-        {
+        let cipher = self.session.as_ref().ok_or(MtlsError::BadState)?;
+        if record.seq != self.recv_seq {
+            return Err(MtlsError::BadRecord);
+        }
+        let mut plaintext = record.ciphertext.clone();
+        let (nonce, aad) = (seq_nonce(record.seq), record.seq.to_le_bytes());
+        if !aead::open_in_place(cipher, &nonce, &aad, &mut plaintext, &record.tag) {
             return Err(MtlsError::BadRecord);
         }
         self.recv_seq += 1;
-        Ok(cipher.encrypt(0, &seq_nonce(record.seq), &record.ciphertext))
+        Ok(plaintext)
     }
 }
 
@@ -461,6 +460,39 @@ mod tests {
         assert!(server.open(&good).is_ok());
         // ...but replaying it is rejected (stale sequence).
         assert_eq!(server.open(&good), Err(MtlsError::BadRecord));
+    }
+
+    #[test]
+    fn any_flipped_tag_or_ciphertext_byte_or_sequence_is_rejected() {
+        let (mut client, mut server) = pair();
+        let ch = client.client_hello(NOW).unwrap();
+        let (sh, _) = server.server_respond(&ch, NOW).unwrap();
+        client.client_finish(&sh, NOW).unwrap();
+
+        let good = client.seal(b"GET /api/v1/orders HTTP/1.1\r\n\r\n").unwrap();
+        for i in 0..TAG_LEN {
+            let mut r = good.clone();
+            r.tag[i] ^= 0x01;
+            assert_eq!(server.open(&r), Err(MtlsError::BadRecord), "tag byte {i}");
+        }
+        for i in 0..good.ciphertext.len() {
+            let mut r = good.clone();
+            r.ciphertext[i] ^= 0x01;
+            assert_eq!(server.open(&r), Err(MtlsError::BadRecord), "ciphertext byte {i}");
+        }
+        let mut r = good.clone();
+        r.seq ^= 1;
+        assert_eq!(server.open(&r), Err(MtlsError::BadRecord), "sequence number");
+        // None of the rejections advanced the receiver.
+        assert!(server.open(&good).is_ok());
+
+        // A record replayed under the next sequence number still fails:
+        // the tag covers the sequence through the nonce and the AAD.
+        let next = client.seal(b"second").unwrap();
+        let mut moved = good.clone();
+        moved.seq = next.seq;
+        assert_eq!(server.open(&moved), Err(MtlsError::BadRecord));
+        assert_eq!(server.open(&next).unwrap(), b"second");
     }
 
     #[test]

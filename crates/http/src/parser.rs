@@ -7,7 +7,7 @@
 //! explicitly rather than misparsed).
 
 use crate::message::{HeaderMap, Method, Request, Response, StatusCode};
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
 /// Parse failures (connection should be reset).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +51,16 @@ fn parse_headers(block: &str) -> Result<HeaderMap, ParseError> {
         headers.insert(name, value.trim());
     }
     Ok(headers)
+}
+
+/// Copy the body of the message that ends at `header_end + body_len` out of
+/// `buf` (the one copy a body gets), then drop the whole message from the
+/// front of `buf`, keeping its allocation for the bytes that follow.
+fn take_body(buf: &mut BytesMut, header_end: usize, body_len: usize) -> Bytes {
+    let end = header_end + body_len;
+    let body = Bytes::copy_from_slice(&buf[header_end..end]);
+    buf.advance(end);
+    body
 }
 
 fn body_length(headers: &HeaderMap) -> Result<usize, ParseError> {
@@ -115,8 +125,7 @@ impl RequestParser {
         if self.buf.len() < header_end + body_len {
             return Ok(None); // body still in flight
         }
-        let mut msg = self.buf.split_to(header_end + body_len);
-        let body: Bytes = msg.split_off(header_end).freeze();
+        let body = take_body(&mut self.buf, header_end, body_len);
         Ok(Some(Request {
             method,
             path,
@@ -166,8 +175,7 @@ impl ResponseParser {
         if self.buf.len() < header_end + body_len {
             return Ok(None);
         }
-        let mut msg = self.buf.split_to(header_end + body_len);
-        let body: Bytes = msg.split_off(header_end).freeze();
+        let body = take_body(&mut self.buf, header_end, body_len);
         Ok(Some(Response {
             status: StatusCode(code),
             headers,
@@ -237,6 +245,25 @@ mod tests {
         let second = p.try_parse().unwrap().unwrap();
         assert_eq!(second.path, "/b");
         assert!(p.try_parse().unwrap().is_none());
+    }
+
+    #[test]
+    fn buffered_counts_a_partial_second_request() {
+        let first = Request::post("/a", &b"body-a"[..]).encode();
+        let second = Request::post("/b", &b"body-b"[..]).encode();
+        let cut = second.len() - 3; // the second body's last bytes lag
+        let mut wire = first.to_vec();
+        wire.extend_from_slice(&second[..cut]);
+        let mut p = RequestParser::new();
+        let req = p.feed(&wire).unwrap().unwrap();
+        assert_eq!(req.body.as_ref(), b"body-a");
+        assert_eq!(p.buffered(), cut);
+        assert!(p.try_parse().unwrap().is_none());
+        assert_eq!(p.buffered(), cut, "an incomplete request consumes nothing");
+        let req = p.feed(&second[cut..]).unwrap().unwrap();
+        assert_eq!(req.path, "/b");
+        assert_eq!(req.body.as_ref(), b"body-b");
+        assert_eq!(p.buffered(), 0);
     }
 
     #[test]

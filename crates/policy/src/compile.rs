@@ -31,6 +31,7 @@ use crate::spec::{
 };
 use canal_net::TenantId;
 use canal_sim::Digest;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// What the node L4 path can conclude without seeing the request.
@@ -91,21 +92,9 @@ impl RuleSet {
         }
     }
 
-    /// AND another mask in.
-    pub fn and_with(&mut self, other: &RuleSet) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-    }
-
     /// Lowest set bit — the first-match-wins winner.
     pub fn first_set(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
+        first_set_of(self.words.iter().copied())
     }
 
     /// Number of 64-bit words (the per-AND cost unit).
@@ -119,6 +108,37 @@ impl RuleSet {
         for &w in &self.words {
             d.write_u64(w);
         }
+    }
+}
+
+/// Lowest set bit over a stream of mask words.
+fn first_set_of(words: impl Iterator<Item = u64>) -> Option<usize> {
+    words
+        .enumerate()
+        .find(|&(_, w)| w != 0)
+        .map(|(wi, w)| wi * 64 + w.trailing_zeros() as usize)
+}
+
+/// `m &= s`, word by word.
+fn and_words(m: &mut [u64], s: &[u64]) {
+    for (w, o) in m.iter_mut().zip(s) {
+        *w &= o;
+    }
+}
+
+/// `m |= s`, word by word.
+fn or_words(m: &mut [u64], s: &[u64]) {
+    for (w, o) in m.iter_mut().zip(s) {
+        *w |= o;
+    }
+}
+
+/// The lowercase form of a header name, borrowed when it already is.
+fn lowercase(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
     }
 }
 
@@ -200,12 +220,16 @@ struct MapTable {
 }
 
 impl MapTable {
-    fn mask(&self, key: &str) -> RuleSet {
-        let mut m = self.any.clone();
-        if let Some(e) = self.exact.get(key) {
-            m.or_with(e);
+    /// `m &= any | exact[key]`, in place.
+    fn and_into(&self, m: &mut [u64], key: &str) {
+        match self.exact.get(key) {
+            Some(e) => {
+                for ((w, a), x) in m.iter_mut().zip(&self.any.words).zip(&e.words) {
+                    *w &= a | x;
+                }
+            }
+            None => and_words(m, &self.any.words),
         }
-        m
     }
 
     fn search_ops(&self) -> u64 {
@@ -232,23 +256,25 @@ struct SniTable {
 }
 
 impl SniTable {
-    fn mask(&self, sni: Option<&str>) -> RuleSet {
-        let mut m = self.any.clone();
+    /// `m &= any | exact[sni] | suffix[..]`, in place; `scratch` (the
+    /// mask's width) holds the union.
+    fn and_into(&self, m: &mut [u64], scratch: &mut [u64], sni: Option<&str>) {
+        scratch.copy_from_slice(&self.any.words);
         if let Some(name) = sni {
             if let Some(e) = self.exact.get(name) {
-                m.or_with(e);
+                or_words(scratch, &e.words);
             }
             if !self.suffix.is_empty() {
                 for (i, c) in name.char_indices() {
                     if c == '.' {
                         if let Some(s) = self.suffix.get(&name[i..]) {
-                            m.or_with(s);
+                            or_words(scratch, &s.words);
                         }
                     }
                 }
             }
         }
-        m
+        and_words(m, scratch);
     }
 
     /// One exact probe plus one probe per label boundary (bounded by the
@@ -357,27 +383,29 @@ struct HeaderSlot {
     auto: RuleSet,
     /// Presence-only predicates, keyed by lowercase header name.
     present: BTreeMap<String, RuleSet>,
-    /// Name+value predicates, keyed by (lowercase name, value).
-    exact: BTreeMap<(String, String), RuleSet>,
+    /// Name+value predicates: lowercase name, then value.
+    exact: BTreeMap<String, BTreeMap<String, RuleSet>>,
 }
 
 impl HeaderSlot {
-    fn mask(&self, headers: &[(&str, &str)]) -> RuleSet {
-        let mut m = self.auto.clone();
-        for &(name, value) in headers {
-            let lower = name.to_ascii_lowercase();
-            if let Some(p) = self.present.get(&lower) {
-                m.or_with(p);
-            }
-            if let Some(e) = self.exact.get(&(lower, value.to_string())) {
-                m.or_with(e);
-            }
+    /// OR into `acc` the rules this slot admits for one request header
+    /// (`name` already lowercase).
+    fn admit(&self, acc: &mut [u64], name: &str, value: &str) {
+        if let Some(p) = self.present.get(name) {
+            or_words(acc, &p.words);
         }
-        m
+        if let Some(e) = self.exact.get(name).and_then(|values| values.get(value)) {
+            or_words(acc, &e.words);
+        }
+    }
+
+    /// Number of (name, value) predicates.
+    fn exact_pairs(&self) -> usize {
+        self.exact.values().map(BTreeMap::len).sum()
     }
 
     fn search_ops(&self) -> u64 {
-        u64::from(((self.present.len() + self.exact.len()).max(1) as u64).ilog2()) + 1
+        u64::from(((self.present.len() + self.exact_pairs()).max(1) as u64).ilog2()) + 1
     }
 
     fn fold_digest(&self, d: &mut Digest) {
@@ -387,10 +415,12 @@ impl HeaderSlot {
             d.write_str(k);
             v.fold_digest(d);
         }
-        d.write_u64(self.exact.len() as u64);
-        for ((k, val), v) in &self.exact {
-            d.write_str(k).write_str(val);
-            v.fold_digest(d);
+        d.write_u64(self.exact_pairs() as u64);
+        for (k, values) in &self.exact {
+            for (val, v) in values {
+                d.write_str(k).write_str(val);
+                v.fold_digest(d);
+            }
         }
     }
 }
@@ -514,7 +544,9 @@ impl CompiledTenant {
                     }
                     Some((name, Some(v))) => {
                         slot.exact
-                            .entry((name.clone(), (*v).clone()))
+                            .entry(name.clone())
+                            .or_default()
+                            .entry((*v).clone())
                             .or_insert_with(|| RuleSet::empty(n))
                             .set(i);
                     }
@@ -537,19 +569,23 @@ impl CompiledTenant {
         })
     }
 
-    /// Candidate mask from the L4 dimensions alone.
-    fn l4_mask(&self, ctx: &L4Ctx) -> RuleSet {
-        let mut m = self.src.lookup(ctx.src_ip as u64).clone();
-        m.and_with(self.ports.lookup(ctx.dst_port as u64));
-        m.and_with(self.idents.lookup(ctx.identity));
-        m
+    /// Candidate mask words from the L4 dimensions alone.
+    fn l4_words<'a>(&'a self, ctx: &L4Ctx) -> impl Iterator<Item = u64> + 'a {
+        let src = self.src.lookup(ctx.src_ip as u64);
+        let ports = self.ports.lookup(ctx.dst_port as u64);
+        let idents = self.idents.lookup(ctx.identity);
+        src.words
+            .iter()
+            .zip(&ports.words)
+            .zip(&idents.words)
+            .map(|((s, p), i)| s & p & i)
     }
 
     /// The node L4 path's verdict. The full L7 match mask is always a
     /// subset of the L4 mask (L7 dimensions only narrow it), so an empty
     /// L4 candidate set means the default verdict is final.
     pub fn l4_verdict(&self, ctx: &L4Ctx) -> L4Verdict {
-        match self.l4_mask(ctx).first_set() {
+        match first_set_of(self.l4_words(ctx)) {
             None => match self.default_action {
                 PolicyVerdict::Allow => L4Verdict::Allow,
                 PolicyVerdict::Deny => L4Verdict::Deny,
@@ -563,15 +599,40 @@ impl CompiledTenant {
     }
 
     /// Index of the first matching rule under full L4+L7 context.
+    ///
+    /// Each dimension is ANDed into one running mask in place. The only
+    /// allocation is one scratch buffer per request, plus a lowercase copy
+    /// of any header name that is not lowercase already.
     pub fn l7_match(&self, l4: &L4Ctx, l7: &L7Ctx<'_>) -> Option<usize> {
-        let mut m = self.l4_mask(l4);
-        m.and_with(&self.methods.mask(l7.method));
-        m.and_with(self.path.lookup(l7.path));
-        m.and_with(&self.sni.mask(l7.sni));
-        for slot in &self.headers {
-            m.and_with(&slot.mask(l7.headers));
+        let w = self.l7_rules.word_count();
+        if w == 0 {
+            return None;
         }
-        m.first_set()
+        // The running mask, then one union accumulator per header slot
+        // (the first doubles as the SNI union).
+        let mut scratch = vec![0u64; w * (1 + self.headers.len().max(1))];
+        let (m, acc) = scratch.split_at_mut(w);
+        for (dst, src) in m.iter_mut().zip(self.l4_words(l4)) {
+            *dst = src;
+        }
+        self.methods.and_into(m, l7.method);
+        and_words(m, &self.path.lookup(l7.path).words);
+        self.sni.and_into(m, &mut acc[..w], l7.sni);
+        if !self.headers.is_empty() {
+            for (slot, a) in self.headers.iter().zip(acc.chunks_exact_mut(w)) {
+                a.copy_from_slice(&slot.auto.words);
+            }
+            for &(name, value) in l7.headers {
+                let name = lowercase(name);
+                for (slot, a) in self.headers.iter().zip(acc.chunks_exact_mut(w)) {
+                    slot.admit(a, &name, value);
+                }
+            }
+            for a in acc.chunks_exact(w) {
+                and_words(m, a);
+            }
+        }
+        first_set_of(m.iter().copied())
     }
 
     /// The gateway L7 path's verdict.

@@ -216,3 +216,104 @@ fn unknown_tenant_never_reaches_any_rule() {
         assert_eq!(full.l7_verdict(&l4, &l7), PolicyVerdict::Deny);
     }
 }
+
+/// Few enough rules that first-match-wins does not shadow the deep ones.
+const HEADER_RULES: usize = 16;
+const CASED_NAMES: &[&str] = &["x-team", "x-trace", "authorization", "x-env"];
+const CASED_VALUES: &[&str] = &["infra", "payments", "1", "prod", "Prod"];
+
+/// `name` with every letter's case drawn at random.
+fn random_case(rng: &mut SimRng, name: &str) -> String {
+    name.chars()
+        .map(|c| if rng.chance(0.5) { c.to_ascii_uppercase() } else { c })
+        .collect()
+}
+
+/// A rule with at least one header predicate; two in five put a
+/// present-only and an exact-value predicate on the same (randomly cased)
+/// name.
+fn random_header_rule(rng: &mut SimRng) -> PolicyRule {
+    let mut r = if rng.chance(0.5) { PolicyRule::allow() } else { PolicyRule::deny() };
+    if rng.chance(0.2) {
+        r = r.with_method(METHODS[rng.index(METHODS.len())]);
+    }
+    if rng.chance(0.4) {
+        let name = CASED_NAMES[rng.index(CASED_NAMES.len())];
+        let value = CASED_VALUES[rng.index(CASED_VALUES.len())];
+        r = r
+            .with_header(&random_case(rng, name), None)
+            .with_header(&random_case(rng, name), Some(value));
+    }
+    while r.headers.is_empty()
+        || (r.headers.len() < canal_policy::MAX_HEADER_PREDICATES && rng.chance(0.4))
+    {
+        let base = CASED_NAMES[rng.index(CASED_NAMES.len())];
+        let name = random_case(rng, base);
+        let value = rng
+            .chance(0.7)
+            .then(|| CASED_VALUES[rng.index(CASED_VALUES.len())]);
+        r = r.with_header(&name, value);
+    }
+    r
+}
+
+/// Mixed-case and duplicated request header names against rules with a
+/// present-only and an exact-value predicate on one name: the cases the
+/// compiled matcher's lowercase-once header path has to get right.
+#[test]
+fn mixed_case_and_duplicate_headers_match_reference() {
+    for seed in [3, 31, 313] {
+        let mut rng = SimRng::seed(seed);
+        let tp = TenantPolicy {
+            tenant: TenantId(1),
+            vpc: VpcId(1),
+            rules: (0..HEADER_RULES).map(|_| random_header_rule(&mut rng)).collect(),
+            default_action: PolicyVerdict::Deny,
+        };
+        let compiled = match CompiledTenant::compile(&tp) {
+            Ok(c) => c,
+            Err(e) => panic!("header rules must validate: {e}"),
+        };
+        let l4 = L4Ctx {
+            tenant: TenantId(1),
+            vpc: VpcId(1),
+            src_ip: 0x0A00_0001,
+            dst_port: 80,
+            identity: 0,
+        };
+        let (mut mixed_case, mut duplicated, mut dual_matches) = (0, 0, 0);
+        for _ in 0..PACKETS {
+            let owned: Vec<(String, &str)> = (0..rng.index(7))
+                .map(|_| {
+                    let name = CASED_NAMES[rng.index(CASED_NAMES.len())];
+                    (random_case(&mut rng, name), CASED_VALUES[rng.index(CASED_VALUES.len())])
+                })
+                .collect();
+            let headers: Vec<(&str, &str)> = owned.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+            let method = METHODS[rng.index(METHODS.len())];
+            let l7 = L7Ctx { method, path: "/", sni: None, headers: &headers };
+
+            let want = reference_l7_match(&tp, &l4, &l7);
+            assert_eq!(compiled.l7_match(&l4, &l7), want, "seed {seed}: {method} {headers:?}");
+            assert_eq!(compiled.l7_verdict(&l4, &l7), reference_l7_verdict(&tp, &l4, &l7));
+
+            let lower: Vec<String> = headers.iter().map(|(n, _)| n.to_ascii_lowercase()).collect();
+            mixed_case += u64::from(headers.iter().zip(&lower).any(|((n, _), l)| n != l));
+            duplicated += u64::from((1..lower.len()).any(|i| lower[..i].contains(&lower[i])));
+            let dual = want.is_some_and(|i| {
+                let hs = &tp.rules[i].headers;
+                hs.iter().any(|a| {
+                    a.value.is_none()
+                        && hs.iter().any(|b| {
+                            b.value.is_some() && b.name.eq_ignore_ascii_case(&a.name)
+                        })
+                })
+            });
+            dual_matches += u64::from(dual);
+        }
+        // The generator must actually reach the cases this test is for.
+        assert!(mixed_case > PACKETS as u64 / 2, "seed {seed}: {mixed_case} mixed-case requests");
+        assert!(duplicated > PACKETS as u64 / 10, "seed {seed}: {duplicated} duplicated names");
+        assert!(dual_matches > 10, "seed {seed}: {dual_matches} dual-predicate matches");
+    }
+}

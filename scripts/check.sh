@@ -18,6 +18,13 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# gwbench is a package of its own (not a workspace member) that links the
+# canal crates. Its tests run every workload at smoke size with all output
+# checks on, check that the metric names it emits match BENCHMARK.json, and
+# run canal-lint over the benchmark's sources.
+echo "==> gwbench tests (smoke workloads, metric names, lint)"
+cargo test --release --offline --manifest-path gwbench/Cargo.toml
+
 # Chaos smoke: a compressed fault-injection run. The binary exits nonzero
 # if the availability invariant breaks (a service with >=1 live replica in
 # a live AZ must serve 100% on the resilient datapath). The dated BENCH
