@@ -355,8 +355,9 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
     let mut ev_idx = 0usize;
 
     // The real data plane: one epoch-fencing ActiveConfig per gateway.
-    let services = (1..=SERVICES).map(GlobalServiceId).collect();
-    let mut fleet: Vec<ActiveConfig> = (0..params.fleet).map(|_| ActiveConfig::new()).collect();
+    let mut fleet: Vec<ActiveConfig> = (0..params.fleet)
+        .map(|_| ActiveConfig::with_ctx((1..=SERVICES).map(GlobalServiceId).collect()))
+        .collect();
 
     // The controller under test, plus the paused incarnation a zombie
     // scenario resumes.
@@ -585,14 +586,14 @@ fn run_arm(seed: u64, params: &FailoverParams, scenario: Scenario) -> FailoverAr
                     m.duplicate_exposures += 1;
                 }
             }
-            let outcome = if p.rollback {
-                ac.roll_back_to_fenced(now, make_spec(p.version), &services, p.epoch)
-            } else {
-                match ac.stage_fenced(make_spec(p.version), p.epoch) {
-                    Ok(()) => ac.commit_staged(now, &services),
-                    Err(rej) => Err(rej),
+            let outcome = ac.fence(p.epoch).and_then(|ac| {
+                if p.rollback {
+                    ac.roll_back_to(now, make_spec(p.version))
+                } else {
+                    ac.stage(make_spec(p.version));
+                    ac.commit_staged(now)
                 }
-            };
+            });
             match outcome {
                 Ok(v) => {
                     m.commits += 1;

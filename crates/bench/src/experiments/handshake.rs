@@ -491,9 +491,9 @@ pub fn run_canal(
             tenant_ids
                 .iter()
                 .map(|&t| {
-                    let mut slot = ActiveCertBundle::new();
+                    let mut slot = ActiveCertBundle::with_ctx(t);
                     slot.stage(bootstrap(t));
-                    slot.commit_staged(SimTime::ZERO, t).ok();
+                    slot.commit_staged(SimTime::ZERO).ok();
                     (t, slot)
                 })
                 .collect()
@@ -670,11 +670,11 @@ pub fn run_canal(
                 continue;
             };
             if is_rollback {
-                slot.roll_back_to(now, spec, tenant).ok();
+                slot.roll_back_to(now, spec).ok();
                 continue;
             }
             slot.stage(spec);
-            match slot.commit_staged(now, tenant) {
+            match slot.commit_staged(now) {
                 Ok(v) => {
                     if poison_versions.contains(&v) {
                         poison_committed += 1;

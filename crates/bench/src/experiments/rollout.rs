@@ -425,8 +425,8 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
     for t in 0..params.fleet as u32 {
         ctl.add_target(t);
     }
-    let known: BTreeSet<GlobalServiceId> = [SVC].into_iter().collect();
-    let mut gws: Vec<ActiveConfig> = (0..params.fleet).map(|_| ActiveConfig::new()).collect();
+    let mut gws: Vec<ActiveConfig> =
+        (0..params.fleet).map(|_| ActiveConfig::with_ctx(BTreeSet::from([SVC]))).collect();
     let mut committed: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); params.fleet];
     let mut running: Vec<u64> = vec![0; params.fleet];
 
@@ -541,7 +541,7 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
                     for t in targets {
                         let gw = &mut gws[t as usize];
                         gw.stage(spec_for(version, poisoned));
-                        match gw.commit_staged(now, &known) {
+                        match gw.commit_staged(now) {
                             Ok(v) => {
                                 running[t as usize] = v;
                                 committed[t as usize].insert(v);
@@ -584,7 +584,7 @@ fn run_canal(seed: u64, params: &RolloutParams, plan: &FaultPlan, stream: &[Arri
                     let poisoned = poisoned_versions.contains(&to);
                     for t in targets {
                         if gws[t as usize]
-                            .roll_back_to(now, spec_for(to, poisoned), &known)
+                            .roll_back_to(now, spec_for(to, poisoned))
                             .is_ok()
                         {
                             running[t as usize] = to;

@@ -13,7 +13,7 @@
 //!    `now + lead_time` crosses it (or the tenant's CA is flagged
 //!    compromised), the controller cuts the next-generation bundle.
 //! 2. **Validate** — the cut bundle runs the same content validation the
-//!    gateways apply ([`ActiveCertBundle::validate`]); a bundle that fails
+//!    gateways apply ([`CertBundleSpec::check`]); a bundle that fails
 //!    here is never pushed anywhere (blast radius 0).
 //! 3. **Distribute** — the bundle rides a [`RolloutController`] rollout:
 //!    canary wave, NACK-gated exponential promotion, automatic rollback to
@@ -26,17 +26,19 @@
 //!    bundle and retries after a backoff, so a persistently bad CA cannot
 //!    melt the fleet by retrying in a tight loop.
 //!
-//! Compromise response ([`Self::flag_compromise`]) is the same wave with
-//! two differences: it ignores the expiry schedule (rotates now) and the
-//! cut bundle raises the revocation floor over every prior generation, so
-//! stolen certs die fleet-wide the moment the wave converges.
+//! Compromise response ([`CertRotationController::flag_compromise`]) is
+//! the same wave with two differences: it ignores the expiry schedule
+//! (rotates now) and the cut bundle raises the revocation floor over every
+//! prior generation, so stolen certs die fleet-wide the moment the wave
+//! converges.
 //!
 //! Everything runs on simulated time and folds into a [`Digest`]; double
 //! runs are bit-identical.
 
 use crate::rollout::{HealthSample, RolloutAction, RolloutConfig, RolloutController, RolloutResult};
 use crate::versioned::TargetId;
-use canal_gateway::certs::{ActiveCertBundle, CertBundleSpec, TrustBundle};
+use canal_gateway::certs::{CertBundleSpec, TrustBundle};
+use canal_gateway::Artifact;
 use canal_sim::{Digest, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -215,8 +217,9 @@ impl CertRotationController {
         self.rollout.ack(target, version, now)
     }
 
-    /// An exposed gateway rejected `version` (its [`ActiveCertBundle`]
-    /// refused to commit). The next tick rolls the wave back.
+    /// An exposed gateway rejected `version` (its
+    /// [`canal_gateway::ActiveCertBundle`] refused to commit). The next
+    /// tick rolls the wave back.
     pub fn nack(&mut self, target: TargetId, version: u64) -> bool {
         self.rollout.nack(target, version)
     }
@@ -323,7 +326,7 @@ impl CertRotationController {
             issued_at: now,
             not_after: now + ttl,
         };
-        let valid = ActiveCertBundle::validate(&spec, now, tenant, st.generation).is_ok();
+        let valid = spec.check(now, tenant, st.generation).is_ok();
         let baseline = health.unwrap_or(HealthSample::HEALTHY);
         let actions = self.rollout.begin(now, valid, baseline, rng);
         self.rotations_started += 1;
@@ -708,7 +711,7 @@ mod tests {
         let spec = c.bundle(version).unwrap();
         let later = t0 + SimDuration::from_secs(1);
         assert!(
-            ActiveCertBundle::validate(spec, later, 1, 1).is_err(),
+            spec.check(later, 1, 1).is_err(),
             "a gateway clock one second later rejects the bundle"
         );
     }

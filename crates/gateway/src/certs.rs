@@ -1,22 +1,17 @@
-//! Fail-static certificate-bundle serving: the cert analogue of
-//! [`crate::config`]'s `{running, staged}` contract.
+//! Fail-static certificate-bundle serving: the cert-bundle artifact.
 //!
 //! A gateway terminates mTLS for every pod behind it (§4.1.3), so the
 //! trust state it validates peer certs against — CA generation, revocation
 //! floor, expiry horizon — is distributed control-plane state with the same
-//! outage potential as a route table (§2.2). This module applies the same
-//! discipline the PR-5 rollout gave configs:
-//!
-//! * A pushed [`CertBundleSpec`] is **staged**; handshakes keep validating
-//!   against the last committed `running` bundle.
-//! * `commit_staged` runs semantic validation — mismatched tenant, a CA
-//!   generation of zero or one that regressed, a clock-skewed `not_after`
-//!   (already expired on arrival, or not after its own issuance instant),
-//!   a stale version — and either swaps atomically or rejects with a
-//!   [`BundleRejection`] the data plane NACKs upstream.
-//! * On rejection the staged bundle is discarded and the gateway keeps
-//!   serving `running` unchanged — **fail-static**: a poisoned bundle
-//!   never takes tenant handshakes down with it.
+//! outage potential as a route table (§2.2). [`ActiveCertBundle`] is
+//! therefore the same [`FailStatic`] pair that serves configs and policy
+//! ([`crate::failstatic`]): a pushed [`CertBundleSpec`] is staged,
+//! handshakes keep validating against the last committed bundle, and a
+//! bundle that fails its checks is NACKed with a [`BundleRejection`] while
+//! `running` keeps serving. What is particular to bundles are the content
+//! checks: a mismatched tenant, a CA generation of zero or one that
+//! regressed, and a clock-skewed `not_after` (already expired on arrival,
+//! or not after its own issuance instant).
 //!
 //! The rotation controller (`canal_control::certrotation`) drives waves of
 //! these commits through the rollout controller and rolls the fleet back
@@ -26,6 +21,7 @@
 //! resilience layer: expiry is retryable-after-refresh, revocation is
 //! terminal (not retry fuel for the retry budget).
 
+use crate::failstatic::{Artifact, FailStatic, Lifecycle};
 use canal_crypto::mtls::MtlsError;
 use canal_sim::{Digest, SimTime};
 
@@ -52,16 +48,32 @@ pub struct CertBundleSpec {
 }
 
 impl CertBundleSpec {
-    /// Distribution version (from the rotation controller's store).
-    pub fn version(&self) -> u64 {
-        self.trust.version
-    }
-
-    /// Fold the spec into a digest (content-sensitive).
-    pub fn fold_digest(&self, d: &mut Digest) {
-        self.trust.fold_digest(d);
-        d.write_u64(self.issued_at.as_nanos())
-            .write_u64(self.not_after.as_nanos());
+    /// Content checks, independent of any gateway state. Pure: used by
+    /// commits and by controllers pre-validating before a push.
+    /// `running_generation` is 0 when nothing runs yet and for a rollback,
+    /// which deliberately re-runs the previous generation.
+    pub fn check(
+        &self,
+        now: SimTime,
+        serving_tenant: u64,
+        running_generation: u64,
+    ) -> Result<(), BundleRejection> {
+        if self.trust.tenant != serving_tenant {
+            return Err(BundleRejection::MismatchedTenant {
+                bundle: self.trust.tenant,
+                serving: serving_tenant,
+            });
+        }
+        if self.trust.generation == 0 || self.trust.generation < running_generation {
+            return Err(BundleRejection::BadCaGeneration {
+                staged: self.trust.generation,
+                running: running_generation,
+            });
+        }
+        if self.not_after <= self.issued_at || self.not_after <= now {
+            return Err(BundleRejection::ClockSkewedNotAfter);
+        }
+        Ok(())
     }
 }
 
@@ -87,18 +99,16 @@ pub enum BundleRejection {
     /// behind the committing gateway's clock — the issuance clock is
     /// skewed, and committing would instantly expire the tenant's fleet.
     ClockSkewedNotAfter,
-    /// The staged version is not newer than the running one.
+    /// [`Lifecycle::StaleVersion`].
     StaleVersion {
         /// Version of the staged bundle.
         staged: u64,
         /// Version currently running.
         running: u64,
     },
-    /// Nothing is staged.
+    /// [`Lifecycle::NothingStaged`].
     NothingStaged,
-    /// The push carries a controller epoch below the highest this gateway
-    /// has observed: a zombie incarnation's push, fenced before any
-    /// version or content check.
+    /// [`Lifecycle::StaleEpoch`].
     StaleEpoch {
         /// Epoch the push carried.
         pushed: u64,
@@ -128,228 +138,44 @@ impl std::fmt::Display for BundleRejection {
     }
 }
 
-/// The `{running, staged}` cert-bundle pair a gateway validates from.
-///
-/// Invariants (DESIGN.md §12):
-/// * Handshake validation always uses the last *committed* bundle.
-/// * Rejection leaves `running` untouched and clears `staged` (fail-static).
-/// * `running.version()` is strictly monotone across commits (rollback via
-///   [`Self::roll_back_to`] deliberately excepted, content checks intact).
-#[derive(Debug, Clone, Default)]
-pub struct ActiveCertBundle {
-    running: Option<CertBundleSpec>,
-    staged: Option<CertBundleSpec>,
-    committed_at: Option<SimTime>,
-    commits: u64,
-    rejections: u64,
-    /// Highest controller epoch observed on any push or probe; lower
-    /// epochs are fenced ([`BundleRejection::StaleEpoch`]).
-    epoch_floor: u64,
-    /// Pushes fenced for carrying a stale epoch.
-    fenced_pushes: u64,
+impl From<Lifecycle> for BundleRejection {
+    fn from(l: Lifecycle) -> Self {
+        match l {
+            Lifecycle::StaleVersion { staged, running } => Self::StaleVersion { staged, running },
+            Lifecycle::NothingStaged => Self::NothingStaged,
+            Lifecycle::StaleEpoch { pushed, floor } => Self::StaleEpoch { pushed, floor },
+        }
+    }
 }
 
-impl ActiveCertBundle {
-    /// Empty pair: nothing running, nothing staged.
-    pub fn new() -> Self {
-        ActiveCertBundle::default()
+/// The `{running, staged}` cert-bundle pair a gateway validates one
+/// tenant's handshakes from; its context is the serving tenant.
+pub type ActiveCertBundle = FailStatic<CertBundleSpec>;
+
+impl Artifact for CertBundleSpec {
+    type Ctx = u64;
+    type Compiled = ();
+    type Reject = BundleRejection;
+
+    /// Distribution version (from the rotation controller's store).
+    fn version(&self) -> u64 {
+        self.trust.version
     }
 
-    /// Stage a pushed bundle without applying it. Handshake validation is
-    /// unaffected until [`Self::commit_staged`]. Staging twice replaces
-    /// the previous staged bundle (last push wins).
-    pub fn stage(&mut self, spec: CertBundleSpec) {
-        self.staged = Some(spec);
-    }
-
-    /// Observe a controller incarnation's epoch (probes and pushes). The
-    /// floor is monotone; returns true if it advanced.
-    pub fn observe_epoch(&mut self, epoch: u64) -> bool {
-        if epoch > self.epoch_floor {
-            self.epoch_floor = epoch;
-            return true;
-        }
-        false
-    }
-
-    /// Epoch-fenced stage: refuse the push if its epoch is below the
-    /// observed floor, else raise the floor and stage.
-    pub fn stage_fenced(
-        &mut self,
-        spec: CertBundleSpec,
-        epoch: u64,
+    /// [`CertBundleSpec::check`] against the running bundle's generation.
+    fn validate(
+        &self,
+        serving_tenant: &u64,
+        now: SimTime,
+        running: Option<&Self>,
     ) -> Result<(), BundleRejection> {
-        if epoch < self.epoch_floor {
-            self.fenced_pushes += 1;
-            return Err(BundleRejection::StaleEpoch { pushed: epoch, floor: self.epoch_floor });
-        }
-        self.observe_epoch(epoch);
-        self.stage(spec);
-        Ok(())
+        self.check(now, *serving_tenant, running.map_or(0, |r| r.trust.generation))
     }
 
-    /// Epoch-fenced [`Self::roll_back_to`]: rollbacks bypass version
-    /// monotonicity *and* generation regression, so they are exactly the
-    /// push the fence must stop.
-    pub fn roll_back_to_fenced(
-        &mut self,
-        now: SimTime,
-        spec: CertBundleSpec,
-        serving_tenant: u64,
-        epoch: u64,
-    ) -> Result<u64, BundleRejection> {
-        if epoch < self.epoch_floor {
-            self.fenced_pushes += 1;
-            return Err(BundleRejection::StaleEpoch { pushed: epoch, floor: self.epoch_floor });
-        }
-        self.observe_epoch(epoch);
-        self.roll_back_to(now, spec, serving_tenant)
-    }
-
-    /// Highest controller epoch this gateway has observed.
-    pub fn epoch_floor(&self) -> u64 {
-        self.epoch_floor
-    }
-
-    /// Pushes fenced for carrying a stale controller epoch.
-    pub fn fenced_pushes(&self) -> u64 {
-        self.fenced_pushes
-    }
-
-    /// Content validation, independent of the running pair. Pure: used by
-    /// `commit_staged` and by controllers pre-validating before a push.
-    /// `running_generation` is 0 when nothing runs yet.
-    pub fn validate(
-        spec: &CertBundleSpec,
-        now: SimTime,
-        serving_tenant: u64,
-        running_generation: u64,
-    ) -> Result<(), BundleRejection> {
-        if spec.trust.tenant != serving_tenant {
-            return Err(BundleRejection::MismatchedTenant {
-                bundle: spec.trust.tenant,
-                serving: serving_tenant,
-            });
-        }
-        if spec.trust.generation == 0 || spec.trust.generation < running_generation {
-            return Err(BundleRejection::BadCaGeneration {
-                staged: spec.trust.generation,
-                running: running_generation,
-            });
-        }
-        if spec.not_after <= spec.issued_at || spec.not_after <= now {
-            return Err(BundleRejection::ClockSkewedNotAfter);
-        }
-        Ok(())
-    }
-
-    /// Atomically commit the staged bundle if it validates, else reject it
-    /// and keep validating against the running one. Either way `staged` is
-    /// cleared. Returns the committed version, or the rejection to NACK
-    /// with.
-    pub fn commit_staged(
-        &mut self,
-        now: SimTime,
-        serving_tenant: u64,
-    ) -> Result<u64, BundleRejection> {
-        let Some(spec) = self.staged.take() else {
-            return Err(BundleRejection::NothingStaged);
-        };
-        if let Some(run) = &self.running {
-            if spec.version() <= run.version() {
-                self.rejections += 1;
-                return Err(BundleRejection::StaleVersion {
-                    staged: spec.version(),
-                    running: run.version(),
-                });
-            }
-        }
-        let running_generation = self.running.as_ref().map_or(0, |r| r.trust.generation);
-        match Self::validate(&spec, now, serving_tenant, running_generation) {
-            Ok(()) => {
-                let v = spec.version();
-                self.running = Some(spec);
-                self.committed_at = Some(now);
-                self.commits += 1;
-                Ok(v)
-            }
-            Err(rej) => {
-                self.rejections += 1;
-                Err(rej)
-            }
-        }
-    }
-
-    /// Roll back to the last converged bundle, bypassing version
-    /// monotonicity and the generation-regression check (a rollback
-    /// deliberately re-runs the previous generation). Tenant and clock
-    /// sanity still apply: a rollback target that no longer validates is
-    /// refused, keeping fail-static intact.
-    pub fn roll_back_to(
-        &mut self,
-        now: SimTime,
-        spec: CertBundleSpec,
-        serving_tenant: u64,
-    ) -> Result<u64, BundleRejection> {
-        Self::validate(&spec, now, serving_tenant, 0)?;
-        let v = spec.version();
-        self.staged = None;
-        self.running = Some(spec);
-        self.committed_at = Some(now);
-        self.commits += 1;
-        Ok(v)
-    }
-
-    /// The bundle handshakes currently validate against, if any.
-    pub fn running(&self) -> Option<&CertBundleSpec> {
-        self.running.as_ref()
-    }
-
-    /// The staged-but-uncommitted bundle, if any.
-    pub fn staged(&self) -> Option<&CertBundleSpec> {
-        self.staged.as_ref()
-    }
-
-    /// Version being served, if a bundle has ever committed.
-    pub fn running_version(&self) -> Option<u64> {
-        self.running.as_ref().map(|c| c.version())
-    }
-
-    /// When the running bundle committed.
-    pub fn committed_at(&self) -> Option<SimTime> {
-        self.committed_at
-    }
-
-    /// Successful commits (including rollbacks).
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Rejected staged bundles — each one is a NACK upstream.
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
-    /// Fold the `{running, staged}` pair into a digest.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.running_version().unwrap_or(0));
-        d.write_u64(self.commits);
-        d.write_u64(self.rejections);
-        if let Some(c) = &self.running {
-            c.fold_digest(d);
-        }
-        match &self.staged {
-            None => {
-                d.write_u64(0);
-            }
-            Some(s) => {
-                d.write_u64(1);
-                s.fold_digest(d);
-            }
-        }
-        d.write_u64(self.committed_at.map_or(u64::MAX, |t| t.as_nanos()));
-        d.write_u64(self.epoch_floor);
-        d.write_u64(self.fenced_pushes);
+    fn fold_digest(&self, d: &mut Digest) {
+        self.trust.fold_digest(d);
+        d.write_u64(self.issued_at.as_nanos())
+            .write_u64(self.not_after.as_nanos());
     }
 }
 
@@ -383,11 +209,10 @@ impl TryFrom<MtlsError> for CertFault {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use canal_sim::SimDuration;
 
-    fn bundle(version: u64, tenant: u64, generation: u64, issued: u64, ttl: u64) -> CertBundleSpec {
+    pub(crate) fn bundle(version: u64, tenant: u64, generation: u64, issued: u64, ttl: u64) -> CertBundleSpec {
         CertBundleSpec {
             trust: TrustBundle {
                 version,
@@ -402,72 +227,38 @@ mod tests {
     }
 
     #[test]
-    fn commit_swaps_atomically() {
-        let mut ac = ActiveCertBundle::new();
-        ac.stage(bundle(1, 7, 1, 0, 3600));
-        assert!(ac.running().is_none(), "staging does not serve");
-        let v = ac.commit_staged(SimTime::from_secs(1), 7);
-        assert_eq!(v, Ok(1));
-        assert_eq!(ac.running_version(), Some(1));
-        assert!(ac.staged().is_none());
-    }
-
-    #[test]
     fn poisoned_bundles_rejected_fail_static() {
         let now = SimTime::from_secs(10);
-        let mut ac = ActiveCertBundle::new();
+        let mut ac = ActiveCertBundle::with_ctx(7);
         ac.stage(bundle(1, 7, 1, 0, 3600));
-        ac.commit_staged(now, 7).ok();
+        ac.commit_staged(now).ok();
 
         // Mismatched tenant.
         ac.stage(bundle(2, 9, 2, 10, 3600));
         assert_eq!(
-            ac.commit_staged(now, 7),
+            ac.commit_staged(now),
             Err(BundleRejection::MismatchedTenant { bundle: 9, serving: 7 })
         );
         // Clock-skewed not_after: already expired on arrival.
         let mut skewed = bundle(3, 7, 2, 10, 3600);
         skewed.not_after = SimTime::from_secs(5);
         ac.stage(skewed);
-        assert_eq!(ac.commit_staged(now, 7), Err(BundleRejection::ClockSkewedNotAfter));
+        assert_eq!(ac.commit_staged(now), Err(BundleRejection::ClockSkewedNotAfter));
         // Bad CA generation: zero, then regression.
         ac.stage(bundle(4, 7, 0, 10, 3600));
         assert_eq!(
-            ac.commit_staged(now, 7),
+            ac.commit_staged(now),
             Err(BundleRejection::BadCaGeneration { staged: 0, running: 1 })
         );
         ac.stage(bundle(5, 7, 5, 10, 3600));
-        ac.commit_staged(now, 7).unwrap();
+        ac.commit_staged(now).unwrap();
         ac.stage(bundle(6, 7, 4, 10, 3600));
         assert_eq!(
-            ac.commit_staged(now, 7),
+            ac.commit_staged(now),
             Err(BundleRejection::BadCaGeneration { staged: 4, running: 5 })
         );
         // Fail-static throughout: the last good bundle kept serving.
         assert_eq!(ac.running_version(), Some(5));
-        assert_eq!(ac.rejections(), 4);
-    }
-
-    #[test]
-    fn stale_version_rejected_but_rollback_allowed() {
-        let now = SimTime::from_secs(1);
-        let mut ac = ActiveCertBundle::new();
-        ac.stage(bundle(5, 3, 2, 0, 3600));
-        ac.commit_staged(now, 3).unwrap();
-        ac.stage(bundle(5, 3, 2, 0, 3600));
-        assert_eq!(
-            ac.commit_staged(now, 3),
-            Err(BundleRejection::StaleVersion { staged: 5, running: 5 })
-        );
-        assert_eq!(ac.commit_staged(now, 3), Err(BundleRejection::NothingStaged));
-        // Rollback reinstates an older version and generation...
-        let v = ac.roll_back_to(now, bundle(4, 3, 1, 0, 3600), 3);
-        assert_eq!(v, Ok(4));
-        assert_eq!(ac.running_version(), Some(4));
-        // ...but a rollback target that no longer validates is refused.
-        let bad = ac.roll_back_to(now, bundle(3, 9, 1, 0, 3600), 3);
-        assert!(bad.is_err());
-        assert_eq!(ac.running_version(), Some(4));
     }
 
     #[test]
@@ -479,33 +270,23 @@ mod tests {
     }
 
     #[test]
-    fn digest_tracks_content() {
-        let build = || {
-            let mut ac = ActiveCertBundle::new();
-            ac.stage(bundle(1, 7, 1, 0, 3600));
-            ac.commit_staged(SimTime::from_secs(1), 7).ok();
-            let mut d = Digest::new();
-            ac.fold_digest(&mut d);
-            d.value()
-        };
-        assert_eq!(build(), build());
-        let _ = SimDuration::ZERO;
-    }
-
-    #[test]
-    fn stale_epoch_bundle_push_is_fenced() {
-        let mut ab = ActiveCertBundle::new();
-        assert!(ab.stage_fenced(bundle(1, 7, 1, 0, 100), 1).is_ok());
-        ab.commit_staged(SimTime::from_secs(1), 7).ok();
-        ab.observe_epoch(2);
-        let r = ab.stage_fenced(bundle(2, 7, 2, 1, 100), 1);
-        assert_eq!(r, Err(BundleRejection::StaleEpoch { pushed: 1, floor: 2 }));
-        assert_eq!(ab.running_version(), Some(1), "fail-static under fencing");
-        assert!(ab.staged().is_none());
-        let rb = ab.roll_back_to_fenced(SimTime::from_secs(2), bundle(1, 7, 1, 0, 100), 7, 1);
-        assert_eq!(rb, Err(BundleRejection::StaleEpoch { pushed: 1, floor: 2 }));
-        assert_eq!(ab.fenced_pushes(), 2);
-        assert!(ab.stage_fenced(bundle(2, 7, 2, 1, 100), 2).is_ok());
-        assert_eq!(ab.commit_staged(SimTime::from_secs(3), 7), Ok(2));
+    fn golden_digest_pins_history() {
+        let mut ab = ActiveCertBundle::with_ctx(7);
+        ab.fence(1).unwrap().stage(bundle(1, 7, 2, 0, 100));
+        ab.commit_staged(SimTime::from_secs(1)).unwrap();
+        ab.stage(bundle(2, 7, 0, 1, 100));
+        assert!(ab.commit_staged(SimTime::from_secs(2)).is_err(), "poisoned NACK");
+        ab.stage(bundle(1, 7, 2, 1, 100));
+        assert!(ab.commit_staged(SimTime::from_secs(3)).is_err(), "stale version");
+        ab.observe_epoch(3);
+        let stage = ab.fence(2).map(|ab| ab.stage(bundle(4, 7, 2, 3, 100)));
+        assert!(stage.is_err(), "fenced stage");
+        let rb = ab.fence(2).and_then(|ab| ab.roll_back_to(SimTime::from_secs(4), bundle(1, 7, 1, 0, 100)));
+        assert!(rb.is_err(), "fenced rollback");
+        ab.fence(3).unwrap().roll_back_to(SimTime::from_secs(5), bundle(1, 7, 1, 0, 100)).unwrap();
+        ab.fence(3).unwrap().stage(bundle(5, 7, 2, 4, 100));
+        let mut d = Digest::new();
+        ab.fold_digest(&mut d);
+        assert_eq!(d.value(), 0x50548d23a0ec20f0);
     }
 }

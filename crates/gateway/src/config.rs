@@ -1,25 +1,14 @@
-//! Version-skew-safe gateway configuration: the fail-static contract.
+//! Version-skew-safe gateway configuration: the route-config artifact.
 //!
-//! §2.2 names configuration as the mesh's primary outage vector: a proxy
-//! that *applies* a bad config is an instant fleet-wide incident. This
-//! module gives every gateway an [`ActiveConfig`] — a `{running, staged}`
-//! pair with atomic commit-or-reject semantics:
-//!
-//! * A pushed [`ConfigSpec`] is first **staged**; serving always continues
-//!   from the last committed `running` config.
-//! * `commit_staged` runs semantic validation (a route referencing an
-//!   unknown service, an empty backend set, a duplicate route, a stale
-//!   version) and either swaps the staged config in atomically or rejects
-//!   it with a [`ConfigRejection`] — which the data plane reports upstream
-//!   as a NACK (`canal_control::VersionedConfigStore::nack`).
-//! * On rejection the staged config is *discarded* and the gateway keeps
-//!   serving `running` unchanged — **fail-static**: blocked or poisoned
-//!   pushes never degrade the data plane below its last good state.
-//!
-//! The rollout controller (`canal_control::rollout`) drives waves of these
-//! commits and rolls the fleet back to last-known-good when any gateway
-//! NACKs or the canary's health regresses.
+//! [`ActiveConfig`] is the gateway's [`FailStatic`] pair over
+//! [`ConfigSpec`]; the stage → fence → validate → commit-or-NACK cycle
+//! and its fail-static guarantee live in [`crate::failstatic`]. This module
+//! holds what is particular to configs: the spec, its digest, and the
+//! content checks — a route to a service the gateway does not know, an
+//! empty backend set, a duplicate route — that a commit NACKs with a
+//! [`ConfigRejection`].
 
+use crate::failstatic::{Artifact, FailStatic, Lifecycle};
 use crate::gateway::BackendId;
 use canal_net::GlobalServiceId;
 use canal_sim::{Digest, SimTime};
@@ -45,21 +34,6 @@ pub struct ConfigSpec {
     pub routes: Vec<RouteSpec>,
 }
 
-impl ConfigSpec {
-    /// Fold the spec into a digest (content-sensitive, order-sensitive).
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.version);
-        d.write_u64(self.routes.len() as u64);
-        for r in &self.routes {
-            d.write_u64(r.service.0);
-            d.write_u64(r.backends.len() as u64);
-            for &b in &r.backends {
-                d.write_u64(b as u64);
-            }
-        }
-    }
-}
-
 /// Why a staged config was rejected instead of committed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigRejection {
@@ -70,21 +44,16 @@ pub enum ConfigRejection {
     EmptyBackendSet(GlobalServiceId),
     /// Two routes name the same service; which one wins would be ambiguous.
     DuplicateRoute(GlobalServiceId),
-    /// The staged version is not newer than the running one. Re-pushes of
-    /// the current version are idempotent no-ops upstream; anything older
-    /// is a replay and must not regress the data plane.
+    /// [`Lifecycle::StaleVersion`].
     StaleVersion {
         /// Version of the staged config.
         staged: u64,
         /// Version currently running.
         running: u64,
     },
-    /// Nothing is staged.
+    /// [`Lifecycle::NothingStaged`].
     NothingStaged,
-    /// The push carries a controller epoch below the highest this gateway
-    /// has observed: it came from a zombie incarnation that lost the
-    /// fleet. Fenced regardless of version — a zombie's rollback push
-    /// could otherwise legally regress the data plane.
+    /// [`Lifecycle::StaleEpoch`].
     StaleEpoch {
         /// Epoch the push carried.
         pushed: u64,
@@ -110,103 +79,39 @@ impl std::fmt::Display for ConfigRejection {
     }
 }
 
-/// The `{running, staged}` config pair a gateway serves from.
-///
-/// Invariants (see DESIGN.md §11):
-/// * `running` only ever advances to a *validated* staged config, atomically.
-/// * Rejection leaves `running` untouched and clears `staged` (fail-static).
-/// * `running.version` is strictly monotone across commits.
-#[derive(Debug, Clone, Default)]
-pub struct ActiveConfig {
-    running: Option<ConfigSpec>,
-    staged: Option<ConfigSpec>,
-    committed_at: Option<SimTime>,
-    commits: u64,
-    rejections: u64,
-    /// Highest controller epoch observed on any push or probe. Pushes
-    /// carrying a lower epoch are fenced ([`ConfigRejection::StaleEpoch`]).
-    epoch_floor: u64,
-    /// Pushes fenced for carrying a stale epoch.
-    fenced_pushes: u64,
+impl From<Lifecycle> for ConfigRejection {
+    fn from(l: Lifecycle) -> Self {
+        match l {
+            Lifecycle::StaleVersion { staged, running } => Self::StaleVersion { staged, running },
+            Lifecycle::NothingStaged => Self::NothingStaged,
+            Lifecycle::StaleEpoch { pushed, floor } => Self::StaleEpoch { pushed, floor },
+        }
+    }
 }
 
-impl ActiveConfig {
-    /// Empty pair: nothing running, nothing staged.
-    pub fn new() -> Self {
-        ActiveConfig::default()
+/// The `{running, staged}` config pair a gateway serves from, validating
+/// routes against the services it knows (its context).
+pub type ActiveConfig = FailStatic<ConfigSpec>;
+
+impl Artifact for ConfigSpec {
+    type Ctx = BTreeSet<GlobalServiceId>;
+    type Compiled = ();
+    type Reject = ConfigRejection;
+
+    fn version(&self) -> u64 {
+        self.version
     }
 
-    /// Stage a pushed config without applying it. Serving is unaffected
-    /// until [`Self::commit_staged`] validates and swaps it in. Staging
-    /// twice replaces the previous staged config (last push wins).
-    pub fn stage(&mut self, spec: ConfigSpec) {
-        self.staged = Some(spec);
-    }
-
-    /// Observe a controller incarnation's epoch (carried on probes and
-    /// pushes). The floor is monotone; returns true if it advanced. A new
-    /// controller announces itself this way, fencing any zombie
-    /// predecessor's in-flight pushes.
-    pub fn observe_epoch(&mut self, epoch: u64) -> bool {
-        if epoch > self.epoch_floor {
-            self.epoch_floor = epoch;
-            return true;
-        }
-        false
-    }
-
-    /// Epoch-fenced stage: refuse the push outright if it carries an
-    /// epoch below the observed floor, else raise the floor and stage.
-    /// The fence runs *before* any version or content check — a zombie's
-    /// rollback push is version-legal but must still die here.
-    pub fn stage_fenced(&mut self, spec: ConfigSpec, epoch: u64) -> Result<(), ConfigRejection> {
-        if epoch < self.epoch_floor {
-            self.fenced_pushes += 1;
-            return Err(ConfigRejection::StaleEpoch { pushed: epoch, floor: self.epoch_floor });
-        }
-        self.observe_epoch(epoch);
-        self.stage(spec);
-        Ok(())
-    }
-
-    /// Epoch-fenced [`Self::roll_back_to`]: a rollback deliberately
-    /// bypasses version monotonicity, which is exactly why it must not
-    /// bypass the epoch fence — this is the push a zombie would use to
-    /// roll the fleet backward.
-    pub fn roll_back_to_fenced(
-        &mut self,
-        now: SimTime,
-        spec: ConfigSpec,
+    /// Every route names a known service, exactly once, with a non-empty
+    /// backend set.
+    fn validate(
+        &self,
         known_services: &BTreeSet<GlobalServiceId>,
-        epoch: u64,
-    ) -> Result<u64, ConfigRejection> {
-        if epoch < self.epoch_floor {
-            self.fenced_pushes += 1;
-            return Err(ConfigRejection::StaleEpoch { pushed: epoch, floor: self.epoch_floor });
-        }
-        self.observe_epoch(epoch);
-        self.roll_back_to(now, spec, known_services)
-    }
-
-    /// Highest controller epoch this gateway has observed.
-    pub fn epoch_floor(&self) -> u64 {
-        self.epoch_floor
-    }
-
-    /// Pushes fenced for carrying a stale controller epoch.
-    pub fn fenced_pushes(&self) -> u64 {
-        self.fenced_pushes
-    }
-
-    /// Validate a spec against the set of services this gateway knows.
-    /// Pure: used by `commit_staged` and directly by controllers that want
-    /// to pre-validate before pushing.
-    pub fn validate(
-        spec: &ConfigSpec,
-        known_services: &BTreeSet<GlobalServiceId>,
+        _now: SimTime,
+        _running: Option<&Self>,
     ) -> Result<(), ConfigRejection> {
         let mut seen = BTreeSet::new();
-        for r in &spec.routes {
+        for r in &self.routes {
             if !seen.insert(r.service) {
                 return Err(ConfigRejection::DuplicateRoute(r.service));
             }
@@ -220,127 +125,28 @@ impl ActiveConfig {
         Ok(())
     }
 
-    /// Atomically commit the staged config if it validates, else reject it
-    /// and keep serving the running one. Either way `staged` is cleared.
-    /// Returns the committed version, or the rejection the data plane
-    /// should NACK with.
-    pub fn commit_staged(
-        &mut self,
-        now: SimTime,
-        known_services: &BTreeSet<GlobalServiceId>,
-    ) -> Result<u64, ConfigRejection> {
-        let Some(spec) = self.staged.take() else {
-            return Err(ConfigRejection::NothingStaged);
-        };
-        if let Some(run) = &self.running {
-            if spec.version <= run.version {
-                self.rejections += 1;
-                return Err(ConfigRejection::StaleVersion {
-                    staged: spec.version,
-                    running: run.version,
-                });
+    fn fold_digest(&self, d: &mut Digest) {
+        d.write_u64(self.version);
+        d.write_u64(self.routes.len() as u64);
+        for r in &self.routes {
+            d.write_u64(r.service.0);
+            d.write_u64(r.backends.len() as u64);
+            for &b in &r.backends {
+                d.write_u64(b as u64);
             }
         }
-        match Self::validate(&spec, known_services) {
-            Ok(()) => {
-                let v = spec.version;
-                self.running = Some(spec);
-                self.committed_at = Some(now);
-                self.commits += 1;
-                Ok(v)
-            }
-            Err(rej) => {
-                self.rejections += 1;
-                Err(rej)
-            }
-        }
-    }
-
-    /// Roll back to an explicit last-known-good config, bypassing the
-    /// version-monotonicity check (a rollback deliberately re-runs an older
-    /// version). Content validation still applies: a rollback target that
-    /// no longer validates is refused, keeping fail-static intact.
-    pub fn roll_back_to(
-        &mut self,
-        now: SimTime,
-        spec: ConfigSpec,
-        known_services: &BTreeSet<GlobalServiceId>,
-    ) -> Result<u64, ConfigRejection> {
-        Self::validate(&spec, known_services)?;
-        let v = spec.version;
-        self.staged = None;
-        self.running = Some(spec);
-        self.committed_at = Some(now);
-        self.commits += 1;
-        Ok(v)
-    }
-
-    /// The config currently being served (last committed), if any.
-    pub fn running(&self) -> Option<&ConfigSpec> {
-        self.running.as_ref()
-    }
-
-    /// The staged-but-uncommitted config, if any.
-    pub fn staged(&self) -> Option<&ConfigSpec> {
-        self.staged.as_ref()
-    }
-
-    /// Version being served, if any config has ever committed.
-    pub fn running_version(&self) -> Option<u64> {
-        self.running.as_ref().map(|c| c.version)
-    }
-
-    /// When the running config committed.
-    pub fn committed_at(&self) -> Option<SimTime> {
-        self.committed_at
-    }
-
-    /// Successful commits (including rollbacks).
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Rejected staged configs — each one corresponds to a NACK upstream.
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
-    /// Fold the whole `{running, staged}` pair into a digest: the running
-    /// version and spec, the uncommitted `staged` spec, `committed_at`,
-    /// and the commit/rejection counts. A gateway with a different staged
-    /// config (or a different commit instant) is in a different state even
-    /// while serving the same running version.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.running_version().unwrap_or(0));
-        d.write_u64(self.commits);
-        d.write_u64(self.rejections);
-        if let Some(c) = &self.running {
-            c.fold_digest(d);
-        }
-        match &self.staged {
-            None => {
-                d.write_u64(0);
-            }
-            Some(s) => {
-                d.write_u64(1);
-                s.fold_digest(d);
-            }
-        }
-        d.write_u64(self.committed_at.map_or(u64::MAX, |t| t.as_nanos()));
-        d.write_u64(self.epoch_floor);
-        d.write_u64(self.fenced_pushes);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn known(ids: &[u64]) -> BTreeSet<GlobalServiceId> {
+    pub(crate) fn known(ids: &[u64]) -> BTreeSet<GlobalServiceId> {
         ids.iter().map(|&i| GlobalServiceId(i)).collect()
     }
 
-    fn spec(version: u64, routes: &[(u64, &[BackendId])]) -> ConfigSpec {
+    pub(crate) fn spec(version: u64, routes: &[(u64, &[BackendId])]) -> ConfigSpec {
         ConfigSpec {
             version,
             routes: routes
@@ -354,117 +160,44 @@ mod tests {
     }
 
     #[test]
-    fn commit_swaps_atomically() {
-        let mut ac = ActiveConfig::new();
-        assert!(ac.running().is_none());
-        ac.stage(spec(1, &[(7, &[0, 1])]));
-        assert!(ac.running().is_none(), "staging does not serve");
-        let v = ac.commit_staged(SimTime::from_secs(1), &known(&[7]));
-        assert_eq!(v, Ok(1));
-        assert_eq!(ac.running_version(), Some(1));
-        assert!(ac.staged().is_none());
-    }
-
-    #[test]
     fn poisoned_config_rejected_fail_static() {
-        let mut ac = ActiveConfig::new();
+        let mut ac = ActiveConfig::with_ctx(known(&[7]));
         ac.stage(spec(1, &[(7, &[0])]));
-        ac.commit_staged(SimTime::ZERO, &known(&[7])).ok();
+        ac.commit_staged(SimTime::ZERO).ok();
         // Route to unknown service 9: NACK, keep serving v1.
         ac.stage(spec(2, &[(9, &[0])]));
-        let r = ac.commit_staged(SimTime::from_secs(5), &known(&[7]));
+        let r = ac.commit_staged(SimTime::from_secs(5));
         assert_eq!(r, Err(ConfigRejection::UnknownService(GlobalServiceId(9))));
         assert_eq!(ac.running_version(), Some(1), "fail-static: v1 still serving");
-        assert!(ac.staged().is_none(), "poisoned staged config discarded");
         // Empty backend set likewise.
         ac.stage(spec(3, &[(7, &[])]));
-        let r = ac.commit_staged(SimTime::from_secs(6), &known(&[7]));
+        let r = ac.commit_staged(SimTime::from_secs(6));
         assert_eq!(r, Err(ConfigRejection::EmptyBackendSet(GlobalServiceId(7))));
-        assert_eq!(ac.running_version(), Some(1));
-        assert_eq!(ac.rejections(), 2);
-        assert_eq!(ac.commits(), 1);
-    }
-
-    #[test]
-    fn stale_and_duplicate_rejected() {
-        let mut ac = ActiveConfig::new();
-        ac.stage(spec(5, &[(7, &[0])]));
-        ac.commit_staged(SimTime::ZERO, &known(&[7])).ok();
-        ac.stage(spec(5, &[(7, &[1])]));
-        assert_eq!(
-            ac.commit_staged(SimTime::from_secs(1), &known(&[7])),
-            Err(ConfigRejection::StaleVersion { staged: 5, running: 5 })
-        );
-        ac.stage(spec(6, &[(7, &[0]), (7, &[1])]));
-        assert_eq!(
-            ac.commit_staged(SimTime::from_secs(2), &known(&[7])),
-            Err(ConfigRejection::DuplicateRoute(GlobalServiceId(7)))
-        );
-        assert_eq!(ac.commit_staged(SimTime::from_secs(3), &known(&[7])), Err(ConfigRejection::NothingStaged));
-    }
-
-    #[test]
-    fn rollback_reinstates_older_version() {
-        let mut ac = ActiveConfig::new();
-        ac.stage(spec(1, &[(7, &[0])]));
-        ac.commit_staged(SimTime::ZERO, &known(&[7])).ok();
-        ac.stage(spec(2, &[(7, &[0, 1])]));
-        ac.commit_staged(SimTime::from_secs(1), &known(&[7])).ok();
-        // v2 turns out bad at canary bake: roll back to v1.
-        let v = ac.roll_back_to(SimTime::from_secs(2), spec(1, &[(7, &[0])]), &known(&[7]));
-        assert_eq!(v, Ok(1));
-        assert_eq!(ac.running_version(), Some(1));
-        // But a rollback target that no longer validates is refused.
-        let bad = ac.roll_back_to(SimTime::from_secs(3), spec(0, &[(9, &[0])]), &known(&[7]));
-        assert!(bad.is_err());
+        // And a duplicate route.
+        ac.stage(spec(4, &[(7, &[0]), (7, &[1])]));
+        let r = ac.commit_staged(SimTime::from_secs(7));
+        assert_eq!(r, Err(ConfigRejection::DuplicateRoute(GlobalServiceId(7))));
         assert_eq!(ac.running_version(), Some(1));
     }
 
     #[test]
-    fn stale_epoch_push_is_fenced() {
-        let mut ac = ActiveConfig::new();
-        assert!(ac.stage_fenced(spec(1, &[(7, &[0])]), 1).is_ok());
-        ac.commit_staged(SimTime::ZERO, &known(&[7])).ok();
-        // The new controller (epoch 2) announces itself via a probe.
-        assert!(ac.observe_epoch(2));
-        assert!(!ac.observe_epoch(2), "floor is monotone");
-        // The zombie at epoch 1 pushes v2: fenced before any other check.
-        let r = ac.stage_fenced(spec(2, &[(7, &[0, 1])]), 1);
-        assert_eq!(r, Err(ConfigRejection::StaleEpoch { pushed: 1, floor: 2 }));
-        assert_eq!(ac.running_version(), Some(1), "fail-static under fencing");
-        assert!(ac.staged().is_none(), "fenced push never staged");
-        // The zombie's version-legal rollback is fenced too.
-        let rb = ac.roll_back_to_fenced(SimTime::from_secs(1), spec(1, &[(7, &[0])]), &known(&[7]), 1);
-        assert_eq!(rb, Err(ConfigRejection::StaleEpoch { pushed: 1, floor: 2 }));
-        assert_eq!(ac.fenced_pushes(), 2);
-        // The live controller at the floor epoch still works.
-        assert!(ac.stage_fenced(spec(2, &[(7, &[0, 1])]), 2).is_ok());
-        assert_eq!(ac.commit_staged(SimTime::from_secs(2), &known(&[7])), Ok(2));
-    }
-
-    #[test]
-    fn fencing_state_is_digested() {
-        let a = ActiveConfig::new();
-        let mut b = ActiveConfig::new();
-        b.observe_epoch(3);
-        let (mut da, mut db) = (Digest::new(), Digest::new());
-        a.fold_digest(&mut da);
-        b.fold_digest(&mut db);
-        assert_ne!(da.value(), db.value(), "epoch floor is digested");
-    }
-
-    #[test]
-    fn digest_tracks_content() {
-        let mut ac = ActiveConfig::new();
-        ac.stage(spec(1, &[(7, &[0, 1])]));
-        ac.commit_staged(SimTime::ZERO, &known(&[7])).ok();
-        let mut a = Digest::new();
-        ac.fold_digest(&mut a);
-        let mut ac2 = ActiveConfig::new();
-        ac2.stage(spec(1, &[(7, &[0, 1])]));
-        ac2.commit_staged(SimTime::ZERO, &known(&[7])).ok();
-        let mut b = Digest::new();
-        ac2.fold_digest(&mut b);
-        assert_eq!(a.value(), b.value());
+    fn golden_digest_pins_history() {
+        let mut ac = ActiveConfig::with_ctx(known(&[7]));
+        ac.fence(1).unwrap().stage(spec(1, &[(7, &[0, 1])]));
+        ac.commit_staged(SimTime::from_secs(1)).unwrap();
+        ac.stage(spec(2, &[(9, &[0])]));
+        assert!(ac.commit_staged(SimTime::from_secs(2)).is_err(), "poisoned NACK");
+        ac.stage(spec(1, &[(7, &[1])]));
+        assert!(ac.commit_staged(SimTime::from_secs(3)).is_err(), "stale version");
+        ac.observe_epoch(3);
+        let stage = ac.fence(2).map(|ac| ac.stage(spec(4, &[(7, &[0])])));
+        assert!(stage.is_err(), "fenced stage");
+        let rb = ac.fence(2).and_then(|ac| ac.roll_back_to(SimTime::from_secs(4), spec(1, &[(7, &[0])])));
+        assert!(rb.is_err(), "fenced rollback");
+        ac.fence(3).unwrap().roll_back_to(SimTime::from_secs(5), spec(1, &[(7, &[0])])).unwrap();
+        ac.fence(3).unwrap().stage(spec(5, &[(7, &[0, 1, 2])]));
+        let mut d = Digest::new();
+        ac.fold_digest(&mut d);
+        assert_eq!(d.value(), 0x5024f4e09a9bd879);
     }
 }

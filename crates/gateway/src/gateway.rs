@@ -138,11 +138,11 @@ pub struct Gateway {
     window_start: SimTime,
     errors: u64,
     served: u64,
-    /// Known services (everything ever registered/extended here), the
-    /// ground truth `ActiveConfig` validation checks routes against.
-    // lint:allow(bounded-state) reason=one entry per service ever registered; registration is a control-plane setup operation, not a data-path event
-    known_services: std::collections::BTreeSet<GlobalServiceId>,
-    /// The version-skew-safe `{running, staged}` config pair.
+    /// The version-skew-safe `{running, staged}` config pair. Its context
+    /// is the known-service set (everything ever registered/extended
+    /// here, one entry per service; registration is a control-plane setup
+    /// operation, not a data-path event), the ground truth config
+    /// validation checks routes against.
     active_config: ActiveConfig,
 }
 
@@ -179,7 +179,6 @@ impl Gateway {
             window_start: SimTime::ZERO,
             errors: 0,
             served: 0,
-            known_services: std::collections::BTreeSet::new(),
             active_config: ActiveConfig::new(),
         };
         for az in 0..cfg.azs {
@@ -221,16 +220,7 @@ impl Gateway {
     /// gateway's known services. A rejection is the NACK the control plane
     /// records; the gateway keeps serving its last committed config.
     pub fn commit_staged_config(&mut self, now: SimTime) -> Result<u64, ConfigRejection> {
-        self.active_config.commit_staged(now, &self.known_services)
-    }
-
-    /// Roll back to an explicit last-known-good config (re-validated).
-    pub fn roll_back_config(
-        &mut self,
-        now: SimTime,
-        spec: ConfigSpec,
-    ) -> Result<u64, ConfigRejection> {
-        self.active_config.roll_back_to(now, spec, &self.known_services)
+        self.active_config.commit_staged(now)
     }
 
     /// The `{running, staged}` config pair.
@@ -271,7 +261,7 @@ impl Gateway {
     /// Register a tenant service: shuffle-shard it onto backends in each AZ
     /// and install its bucket tables.
     pub fn register_service(&mut self, service: GlobalServiceId, rng: &mut SimRng) -> Vec<BackendId> {
-        self.known_services.insert(service);
+        self.active_config.ctx_mut().insert(service);
         let combo = self.planner.assign(service, rng);
         let backends: Vec<BackendId> = combo.iter().map(|&b| b as BackendId).collect();
         for &b in &backends {
@@ -290,7 +280,7 @@ impl Gateway {
     /// The `Reuse` scaling operation: extend a service onto an existing
     /// low-water backend. Returns false if already placed there.
     pub fn extend_service(&mut self, service: GlobalServiceId, backend: BackendId) -> bool {
-        self.known_services.insert(service);
+        self.active_config.ctx_mut().insert(service);
         if self.placement.backends_of(service).contains(&backend) {
             return false;
         }
@@ -575,8 +565,8 @@ impl Gateway {
     /// subsystem: `placement`, `planner`, per-replica `replicas` state,
     /// per-backend `redirectors`, the `sandbox`, the `overload` pipeline,
     /// `backend_az`, `next_backend`, the `window` counters and
-    /// `window_start`, `errors`/`served`, `known_services`, and the
-    /// `active_config` pair.
+    /// `window_start`, `errors`/`served`, and the `active_config` pair
+    /// preceded by its known-service set.
     pub fn fold_digest(&self, d: &mut Digest) {
         self.placement.fold_digest(d);
         self.planner.fold_digest(d);
@@ -613,8 +603,8 @@ impl Gateway {
         d.write_u64(self.window_start.as_nanos())
             .write_u64(self.errors)
             .write_u64(self.served)
-            .write_u64(self.known_services.len() as u64);
-        for s in &self.known_services {
+            .write_u64(self.active_config.ctx().len() as u64);
+        for s in self.active_config.ctx() {
             d.write_u64(s.0);
         }
         self.active_config.fold_digest(d);

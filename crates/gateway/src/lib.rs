@@ -30,21 +30,22 @@
 //!   tables: `Draining` stops new sessions at once, established sessions
 //!   daisy-chain to their owner until they close, and a deadline bounds the
 //!   window — planned failover loses zero established sessions.
-//! * [`certs`] — rollback-safe certificate distribution: the gateway's
-//!   `ActiveCertBundle { running, staged }` pair mirrors [`config`] for
-//!   trust bundles (tenant/generation/clock validation → NACK, fail-static
-//!   serving on the running bundle), plus the typed bridge from handshake
+//! * [`failstatic`] — the fail-static `{running, staged}` state machine,
+//!   written once: stage → epoch fence → version and content checks →
+//!   atomic commit or NACK, plus `roll_back_to`. A poisoned or blocked push
+//!   never degrades the data plane below its last committed state (§2.2's
+//!   bad-config outage vector). Each artifact kind below is one
+//!   [`Artifact`] impl on it.
+//! * [`config`] — version-skew-safe configuration: [`ActiveConfig`] checks
+//!   a staged route config against the gateway's known services.
+//! * [`policy`] — the network-policy plane: [`ActivePolicy`] validates
+//!   *and compiles* a staged [`canal_policy::PolicySpec`] atomically, so
+//!   the datapath keeps enforcing the last committed compiled set
+//!   (DESIGN.md §14).
+//! * [`certs`] — rollback-safe certificate distribution:
+//!   [`ActiveCertBundle`] checks a trust bundle's tenant, CA generation and
+//!   clock sanity, plus the typed bridge from handshake
 //!   [`canal_crypto::MtlsError`]s into the resilience layer.
-//! * [`config`] — version-skew-safe configuration: every gateway holds an
-//!   `ActiveConfig { running, staged }` pair, atomically commits or rejects
-//!   a staged version (semantic validation → NACK), and keeps serving the
-//!   last committed config when pushes are blocked or poisoned
-//!   (fail-static, §2.2's bad-config outage vector).
-//! * [`policy`] — the same fail-static contract for the network-policy
-//!   plane: `ActivePolicy { running, staged }` validates *and compiles* a
-//!   staged [`canal_policy::PolicySpec`] atomically, NACKing semantic
-//!   poison while the datapath keeps enforcing the last committed
-//!   compiled set (DESIGN.md §14).
 //! * [`gateway`] — the assembled gateway: service placement, per-backend
 //!   CPU/session accounting, request dispatch, and the water-level signals
 //!   the control plane consumes.
@@ -56,6 +57,7 @@
 pub mod certs;
 pub mod config;
 pub mod drain;
+pub mod failstatic;
 pub mod failure;
 pub mod gateway;
 pub mod health;
@@ -70,6 +72,7 @@ pub mod tunnel;
 pub use certs::{ActiveCertBundle, BundleRejection, CertBundleSpec, CertFault};
 pub use config::{ActiveConfig, ConfigRejection, ConfigSpec, RouteSpec};
 pub use drain::{DrainError, DrainPhase, DrainReject, GatewayDrain};
+pub use failstatic::{Artifact, FailStatic, Lifecycle};
 pub use failure::{FailureDomain, PlacementView, UnknownDomain};
 pub use gateway::{BackendId, Gateway, GatewayConfig, ReplicaId};
 pub use health::HealthCheckPlan;

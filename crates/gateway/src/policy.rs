@@ -1,15 +1,16 @@
-//! Fail-static network-policy state at the gateway.
+//! Fail-static network-policy state at the gateway: the policy artifact.
 //!
-//! [`ActivePolicy`] mirrors [`ActiveConfig`](crate::config::ActiveConfig)
-//! exactly, but for the policy plane: a pushed
-//! [`PolicySpec`](canal_policy::PolicySpec) is first **staged**, then
-//! `commit_staged` runs semantic validation *and compilation* atomically —
-//! a spec that fails either is rejected with a [`PolicyPushRejection`]
-//! (NACKed upstream by the data plane) and the gateway keeps enforcing the
-//! last committed compiled set unchanged. A poisoned policy push can
-//! therefore never widen or narrow enforcement beyond the canary that
-//! NACKed it.
+//! [`ActivePolicy`] is the gateway's [`FailStatic`] pair over a
+//! [`PolicySpec`], the same machine that serves configs and cert bundles
+//! ([`crate::failstatic`]). What is particular to policy: a commit runs
+//! semantic validation *and compilation* atomically, and serves the
+//! [`CompiledPolicySet`] alongside the spec. A spec that fails either is
+//! rejected with a [`PolicyPushRejection`] (NACKed upstream by the data
+//! plane) and the gateway keeps enforcing the last committed compiled set
+//! unchanged. A poisoned policy push can therefore never widen or narrow
+//! enforcement beyond the canary that NACKed it.
 
+use crate::failstatic::{Artifact, FailStatic, Lifecycle};
 use canal_policy::{CompiledPolicySet, PolicyRejection, PolicySpec};
 use canal_sim::{Digest, SimTime};
 
@@ -18,19 +19,16 @@ use canal_sim::{Digest, SimTime};
 pub enum PolicyPushRejection {
     /// Semantic validation / compilation failed.
     Spec(PolicyRejection),
-    /// The staged version is not newer than the running one. Anything
-    /// older is a replay and must not regress enforcement.
+    /// [`Lifecycle::StaleVersion`].
     StaleVersion {
         /// Version of the staged spec.
         staged: u64,
         /// Version currently enforced.
         running: u64,
     },
-    /// Nothing is staged.
+    /// [`Lifecycle::NothingStaged`].
     NothingStaged,
-    /// The push carries a controller epoch below the highest this gateway
-    /// has observed: a zombie incarnation's push, fenced before any
-    /// version or content check.
+    /// [`Lifecycle::StaleEpoch`].
     StaleEpoch {
         /// Epoch the push carried.
         pushed: u64,
@@ -54,220 +52,58 @@ impl std::fmt::Display for PolicyPushRejection {
     }
 }
 
-/// The `{running, staged}` policy pair a gateway enforces from.
-///
-/// Invariants (DESIGN.md §14, mirroring §11's config contract):
-/// * `running` only ever advances to a spec that validated *and* compiled,
-///   atomically — the served spec and its compiled tables never diverge.
-/// * Rejection leaves `running` untouched and clears `staged` (fail-static).
-/// * The running version is strictly monotone across commits.
-#[derive(Debug, Clone, Default)]
-pub struct ActivePolicy {
-    running: Option<(PolicySpec, CompiledPolicySet)>,
-    staged: Option<PolicySpec>,
-    committed_at: Option<SimTime>,
-    commits: u64,
-    rejections: u64,
-    /// Highest controller epoch observed on any push or probe; lower
-    /// epochs are fenced ([`PolicyPushRejection::StaleEpoch`]).
-    epoch_floor: u64,
-    /// Pushes fenced for carrying a stale epoch.
-    fenced_pushes: u64,
+impl From<Lifecycle> for PolicyPushRejection {
+    fn from(l: Lifecycle) -> Self {
+        match l {
+            Lifecycle::StaleVersion { staged, running } => Self::StaleVersion { staged, running },
+            Lifecycle::NothingStaged => Self::NothingStaged,
+            Lifecycle::StaleEpoch { pushed, floor } => Self::StaleEpoch { pushed, floor },
+        }
+    }
 }
 
-impl ActivePolicy {
-    /// Empty pair: nothing running, nothing staged. With no committed
-    /// policy the compiled set is empty, which denies every tenant
-    /// (zero trust) — gate enforcement on `running_version().is_some()`
-    /// if open-until-first-policy is wanted.
-    pub fn new() -> Self {
-        ActivePolicy::default()
+/// The `{running, staged}` policy pair a gateway enforces from. The
+/// served spec and its compiled tables commit together, so they never
+/// diverge. With no committed policy there is no compiled set, which
+/// denies every tenant (zero trust) — gate enforcement on
+/// `running_version().is_some()` if open-until-first-policy is wanted.
+pub type ActivePolicy = FailStatic<PolicySpec>;
+
+impl Artifact for PolicySpec {
+    type Ctx = ();
+    type Compiled = CompiledPolicySet;
+    type Reject = PolicyPushRejection;
+
+    fn version(&self) -> u64 {
+        self.version
     }
 
-    /// Stage a pushed spec without applying it. Enforcement is unaffected
-    /// until [`Self::commit_staged`] validates, compiles and swaps it in.
-    /// Staging twice replaces the previous staged spec (last push wins).
-    pub fn stage(&mut self, spec: PolicySpec) {
-        self.staged = Some(spec);
+    /// Semantic validation and compilation, in one step.
+    fn validate(
+        &self,
+        _ctx: &(),
+        _now: SimTime,
+        _running: Option<&Self>,
+    ) -> Result<CompiledPolicySet, PolicyPushRejection> {
+        CompiledPolicySet::compile(self).map_err(PolicyPushRejection::Spec)
     }
 
-    /// Observe a controller incarnation's epoch (probes and pushes). The
-    /// floor is monotone; returns true if it advanced.
-    pub fn observe_epoch(&mut self, epoch: u64) -> bool {
-        if epoch > self.epoch_floor {
-            self.epoch_floor = epoch;
-            return true;
-        }
-        false
+    fn fold_digest(&self, d: &mut Digest) {
+        PolicySpec::fold_digest(self, d);
     }
 
-    /// Epoch-fenced stage: refuse the push if its epoch is below the
-    /// observed floor, else raise the floor and stage.
-    pub fn stage_fenced(
-        &mut self,
-        spec: PolicySpec,
-        epoch: u64,
-    ) -> Result<(), PolicyPushRejection> {
-        if epoch < self.epoch_floor {
-            self.fenced_pushes += 1;
-            return Err(PolicyPushRejection::StaleEpoch {
-                pushed: epoch,
-                floor: self.epoch_floor,
-            });
-        }
-        self.observe_epoch(epoch);
-        self.stage(spec);
-        Ok(())
-    }
-
-    /// Epoch-fenced [`Self::roll_back_to`]: rollbacks bypass version
-    /// monotonicity, so they are exactly the push the fence must stop.
-    pub fn roll_back_to_fenced(
-        &mut self,
-        now: SimTime,
-        spec: PolicySpec,
-        epoch: u64,
-    ) -> Result<u64, PolicyPushRejection> {
-        if epoch < self.epoch_floor {
-            self.fenced_pushes += 1;
-            return Err(PolicyPushRejection::StaleEpoch {
-                pushed: epoch,
-                floor: self.epoch_floor,
-            });
-        }
-        self.observe_epoch(epoch);
-        self.roll_back_to(now, spec)
-    }
-
-    /// Highest controller epoch this gateway has observed.
-    pub fn epoch_floor(&self) -> u64 {
-        self.epoch_floor
-    }
-
-    /// Pushes fenced for carrying a stale controller epoch.
-    pub fn fenced_pushes(&self) -> u64 {
-        self.fenced_pushes
-    }
-
-    /// Atomically commit the staged spec if it validates and compiles,
-    /// else reject it and keep enforcing the running set. Either way
-    /// `staged` is cleared. Returns the committed version, or the
-    /// rejection the data plane should NACK with.
-    pub fn commit_staged(&mut self, now: SimTime) -> Result<u64, PolicyPushRejection> {
-        let Some(spec) = self.staged.take() else {
-            return Err(PolicyPushRejection::NothingStaged);
-        };
-        if let Some((run, _)) = &self.running {
-            if spec.version <= run.version {
-                self.rejections += 1;
-                return Err(PolicyPushRejection::StaleVersion {
-                    staged: spec.version,
-                    running: run.version,
-                });
-            }
-        }
-        match CompiledPolicySet::compile(&spec) {
-            Ok(compiled) => {
-                let v = spec.version;
-                self.running = Some((spec, compiled));
-                self.committed_at = Some(now);
-                self.commits += 1;
-                Ok(v)
-            }
-            Err(rej) => {
-                self.rejections += 1;
-                Err(PolicyPushRejection::Spec(rej))
-            }
-        }
-    }
-
-    /// Roll back to an explicit last-known-good spec, bypassing the
-    /// version-monotonicity check (a rollback deliberately re-runs an
-    /// older version). Compilation still applies: a rollback target that
-    /// no longer compiles is refused, keeping fail-static intact.
-    pub fn roll_back_to(
-        &mut self,
-        now: SimTime,
-        spec: PolicySpec,
-    ) -> Result<u64, PolicyPushRejection> {
-        let compiled = CompiledPolicySet::compile(&spec).map_err(PolicyPushRejection::Spec)?;
-        let v = spec.version;
-        self.staged = None;
-        self.running = Some((spec, compiled));
-        self.committed_at = Some(now);
-        self.commits += 1;
-        Ok(v)
-    }
-
-    /// The spec currently being enforced (last committed), if any.
-    pub fn running_spec(&self) -> Option<&PolicySpec> {
-        self.running.as_ref().map(|(s, _)| s)
-    }
-
-    /// The compiled tables the datapath evaluates, if any policy has ever
-    /// committed.
-    pub fn compiled(&self) -> Option<&CompiledPolicySet> {
-        self.running.as_ref().map(|(_, c)| c)
-    }
-
-    /// The staged-but-uncommitted spec, if any.
-    pub fn staged(&self) -> Option<&PolicySpec> {
-        self.staged.as_ref()
-    }
-
-    /// Version being enforced, if any policy has ever committed.
-    pub fn running_version(&self) -> Option<u64> {
-        self.running.as_ref().map(|(s, _)| s.version)
-    }
-
-    /// When the running policy committed.
-    pub fn committed_at(&self) -> Option<SimTime> {
-        self.committed_at
-    }
-
-    /// Successful commits (including rollbacks).
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Rejected staged specs — each one corresponds to a NACK upstream.
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
-    /// Fold the whole `{running, staged}` pair into a digest: the running
-    /// version, spec and compiled tables, the uncommitted `staged` spec,
-    /// `committed_at`, and the commit/rejection counts.
-    pub fn fold_digest(&self, d: &mut Digest) {
-        d.write_u64(self.running_version().unwrap_or(0));
-        d.write_u64(self.commits);
-        d.write_u64(self.rejections);
-        if let Some((spec, compiled)) = &self.running {
-            spec.fold_digest(d);
-            compiled.fold_digest(d);
-        }
-        match &self.staged {
-            None => {
-                d.write_u64(0);
-            }
-            Some(s) => {
-                d.write_u64(1);
-                s.fold_digest(d);
-            }
-        }
-        d.write_u64(self.committed_at.map_or(u64::MAX, |t| t.as_nanos()));
-        d.write_u64(self.epoch_floor);
-        d.write_u64(self.fenced_pushes);
+    fn fold_compiled(compiled: &CompiledPolicySet, d: &mut Digest) {
+        compiled.fold_digest(d);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use canal_net::{TenantId, VpcId};
     use canal_policy::{L4Ctx, L4Verdict, PolicyRule, TenantPolicy};
 
-    fn spec(version: u64, rules: Vec<PolicyRule>) -> PolicySpec {
+    pub(crate) fn spec(version: u64, rules: Vec<PolicyRule>) -> PolicySpec {
         PolicySpec {
             version,
             tenants: vec![TenantPolicy {
@@ -284,100 +120,37 @@ mod tests {
     }
 
     #[test]
-    fn commit_swaps_spec_and_compiled_atomically() {
-        let mut ap = ActivePolicy::new();
-        assert!(ap.compiled().is_none());
-        ap.stage(spec(1, vec![PolicyRule::allow()]));
-        assert!(ap.running_spec().is_none(), "staging does not enforce");
-        assert_eq!(ap.commit_staged(SimTime::from_secs(1)), Ok(1));
-        assert_eq!(ap.running_version(), Some(1));
-        let compiled = ap.compiled().unwrap();
-        assert_eq!(compiled.l4_verdict(&ctx()), L4Verdict::Allow);
-        assert!(ap.staged().is_none());
-    }
-
-    #[test]
     fn poisoned_policy_rejected_fail_static() {
         let mut ap = ActivePolicy::new();
         ap.stage(spec(1, vec![PolicyRule::allow()]));
         ap.commit_staged(SimTime::ZERO).ok();
+        assert_eq!(ap.compiled().unwrap().l4_verdict(&ctx()), L4Verdict::Allow);
         // Inverted port range: semantically invalid → NACK, keep enforcing v1.
         ap.stage(spec(2, vec![PolicyRule::deny().with_ports(443, 80)]));
         let r = ap.commit_staged(SimTime::from_secs(5));
         assert!(matches!(r, Err(PolicyPushRejection::Spec(_))));
         assert_eq!(ap.running_version(), Some(1), "fail-static: v1 still enforced");
         assert_eq!(ap.compiled().unwrap().l4_verdict(&ctx()), L4Verdict::Allow);
-        assert!(ap.staged().is_none(), "poisoned staged spec discarded");
-        assert_eq!(ap.rejections(), 1);
-        assert_eq!(ap.commits(), 1);
     }
 
     #[test]
-    fn stale_version_rejected() {
+    fn golden_digest_pins_history() {
         let mut ap = ActivePolicy::new();
-        ap.stage(spec(5, vec![PolicyRule::allow()]));
-        ap.commit_staged(SimTime::ZERO).ok();
-        ap.stage(spec(5, vec![PolicyRule::deny()]));
-        assert_eq!(
-            ap.commit_staged(SimTime::from_secs(1)),
-            Err(PolicyPushRejection::StaleVersion { staged: 5, running: 5 })
-        );
-        assert_eq!(
-            ap.commit_staged(SimTime::from_secs(2)),
-            Err(PolicyPushRejection::NothingStaged)
-        );
-    }
-
-    #[test]
-    fn rollback_reinstates_older_version_but_still_compiles() {
-        let mut ap = ActivePolicy::new();
-        ap.stage(spec(1, vec![PolicyRule::allow()]));
-        ap.commit_staged(SimTime::ZERO).ok();
-        ap.stage(spec(2, vec![PolicyRule::deny()]));
-        ap.commit_staged(SimTime::from_secs(1)).ok();
-        assert_eq!(ap.roll_back_to(SimTime::from_secs(2), spec(1, vec![PolicyRule::allow()])), Ok(1));
-        assert_eq!(ap.running_version(), Some(1));
-        let bad = ap.roll_back_to(
-            SimTime::from_secs(3),
-            spec(0, vec![PolicyRule::allow().with_ports(9, 1)]),
-        );
-        assert!(bad.is_err());
-        assert_eq!(ap.running_version(), Some(1), "bad rollback target refused");
-    }
-
-    #[test]
-    fn stale_epoch_policy_push_is_fenced() {
-        let mut ap = ActivePolicy::new();
-        assert!(ap.stage_fenced(spec(1, vec![PolicyRule::allow()]), 1).is_ok());
-        ap.commit_staged(SimTime::ZERO).ok();
-        ap.observe_epoch(2);
-        let r = ap.stage_fenced(spec(2, vec![PolicyRule::deny()]), 1);
-        assert_eq!(r, Err(PolicyPushRejection::StaleEpoch { pushed: 1, floor: 2 }));
-        assert_eq!(ap.running_version(), Some(1), "fail-static under fencing");
-        assert!(ap.staged().is_none());
-        let rb = ap.roll_back_to_fenced(SimTime::from_secs(1), spec(1, vec![PolicyRule::allow()]), 1);
-        assert_eq!(rb, Err(PolicyPushRejection::StaleEpoch { pushed: 1, floor: 2 }));
-        assert_eq!(ap.fenced_pushes(), 2);
-        assert!(ap.stage_fenced(spec(2, vec![PolicyRule::deny()]), 2).is_ok());
-        assert_eq!(ap.commit_staged(SimTime::from_secs(2)), Ok(2));
-    }
-
-    #[test]
-    fn digest_tracks_content() {
-        let mut a = ActivePolicy::new();
-        a.stage(spec(1, vec![PolicyRule::allow()]));
-        a.commit_staged(SimTime::ZERO).ok();
-        let mut b = ActivePolicy::new();
-        b.stage(spec(1, vec![PolicyRule::allow()]));
-        b.commit_staged(SimTime::ZERO).ok();
-        let mut da = Digest::new();
-        a.fold_digest(&mut da);
-        let mut db = Digest::new();
-        b.fold_digest(&mut db);
-        assert_eq!(da.value(), db.value());
-        b.stage(spec(2, vec![PolicyRule::deny()]));
-        let mut dc = Digest::new();
-        b.fold_digest(&mut dc);
-        assert_ne!(da.value(), dc.value(), "staged spec is part of the state");
+        ap.fence(1).unwrap().stage(spec(1, vec![PolicyRule::allow()]));
+        ap.commit_staged(SimTime::from_secs(1)).unwrap();
+        ap.stage(spec(2, vec![PolicyRule::deny().with_ports(443, 80)]));
+        assert!(ap.commit_staged(SimTime::from_secs(2)).is_err(), "poisoned NACK");
+        ap.stage(spec(1, vec![PolicyRule::deny()]));
+        assert!(ap.commit_staged(SimTime::from_secs(3)).is_err(), "stale version");
+        ap.observe_epoch(3);
+        let stage = ap.fence(2).map(|ap| ap.stage(spec(4, vec![PolicyRule::deny()])));
+        assert!(stage.is_err(), "fenced stage");
+        let rb = ap.fence(2).and_then(|ap| ap.roll_back_to(SimTime::from_secs(4), spec(1, vec![PolicyRule::allow()])));
+        assert!(rb.is_err(), "fenced rollback");
+        ap.fence(3).unwrap().roll_back_to(SimTime::from_secs(5), spec(1, vec![PolicyRule::allow()])).unwrap();
+        ap.fence(3).unwrap().stage(spec(5, vec![PolicyRule::deny().with_ports(80, 80)]));
+        let mut d = Digest::new();
+        ap.fold_digest(&mut d);
+        assert_eq!(d.value(), 0x41c9f97eba718644);
     }
 }

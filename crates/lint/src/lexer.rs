@@ -2,7 +2,7 @@
 //!
 //! Rules must not fire on words inside comments, doc comments or string
 //! literals ("never call `Instant::now` here" in a doc comment is advice,
-//! not a violation). [`mask_source`] rewrites a file so that the contents
+//! not a violation). [`lex`] masks a file so that the contents
 //! of every comment and string literal become spaces while line/column
 //! positions of real code are preserved; rule matching then runs over the
 //! masked text. The lexer also extracts `lint:allow` suppression comments

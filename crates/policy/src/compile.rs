@@ -5,15 +5,15 @@
 //! candidate rules:
 //!
 //! * source IP, destination port and workload identity — disjoint-interval
-//!   segment tables ([`IntervalTable`]): the rule ranges are cut into
+//!   segment tables (`IntervalTable`): the rule ranges are cut into
 //!   non-overlapping segments once at compile time, so a lookup is one
 //!   binary search over the segment boundaries.
 //! * HTTP method and SNI — exact-match maps, plus a label-boundary suffix
-//!   map for wildcard SNI ([`SniTable`]).
+//!   map for wildcard SNI (`SniTable`).
 //! * path prefix — a byte trie whose nodes carry ancestor-cumulative rule
-//!   sets ([`PathTrie`]): the deepest node reached on a walk already holds
+//!   sets (`PathTrie`): the deepest node reached on a walk already holds
 //!   every rule whose prefix covers the path.
-//! * header predicates — fixed slots ([`MAX_HEADER_PREDICATES`]); slot `j`
+//! * header predicates — fixed slots ([`crate::MAX_HEADER_PREDICATES`]); slot `j`
 //!   auto-admits every rule with at most `j` predicates, so rules with
 //!   fewer predicates than the maximum impose no constraint there.
 //!

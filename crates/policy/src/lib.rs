@@ -16,7 +16,7 @@
 //!   (first-match-wins). The top level is keyed by [`TenantId`], so a
 //!   packet can never reach another tenant's rules — isolation is
 //!   structural, not filtered.
-//! * [`reference`] — the naive scan-all-rules matcher the differential
+//! * [`reference`](mod@reference) — the naive scan-all-rules matcher the differential
 //!   property tests compare against bit for bit.
 //! * [`store`] — the bounded version archive the rollout controller's
 //!   rollback targets are materialized from.

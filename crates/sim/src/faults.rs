@@ -649,7 +649,7 @@ impl FaultPlan {
 ///
 /// This is the canonical catalogue — `parse` accepts exactly these tokens,
 /// and the README's fault-target table is checked against it by test, so
-/// adding a target here (or in [`parse_target`]) without documenting it
+/// adding a target here (or in `parse_target`) without documenting it
 /// fails the suite.
 pub const DSL_TARGETS: &[(&str, &str, &str)] = &[
     ("replica", "<backend>/<index>", "one replica VM of a backend"),

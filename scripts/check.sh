@@ -18,6 +18,20 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+# Rustdoc with warnings denied: a broken or private intra-doc link fails
+# the gate, so docs that name moved or renamed items cannot drift.
+echo "==> cargo doc --workspace (intra-doc links, warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
+
+# EXPERIMENTS.md below its hand-written preamble (which ends at the first
+# `---` line and the blank line after it) is exactly what
+# `experiments --markdown` prints: every experiment's check table and the
+# summary line. Regenerate it and diff, so a change to any measured value
+# or verdict shows up here.
+echo "==> EXPERIMENTS.md drift (regenerated check tables vs the committed file)"
+cargo run -q --release -p canal-bench --bin experiments -- --markdown > target/experiments.md
+sed '1,/^---$/d' EXPERIMENTS.md | tail -n +2 | diff -u - target/experiments.md
+
 # gwbench is a package of its own (not a workspace member) that links the
 # canal crates. Its tests run every workload at smoke size with all output
 # checks on, check that the metric names it emits match BENCHMARK.json, and
